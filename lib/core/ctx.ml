@@ -29,7 +29,7 @@ type t = {
   instr : Instr.t;
 }
 
-let create ?(block_size = 8) ?(stem = true) ?transducer ?(auto_sync = false) ?reindex_every fs =
+let create ?(block_size = 1) ?(stem = true) ?transducer ?(auto_sync = false) ?reindex_every fs =
   let clock = Hac_fault.Clock.create () in
   let instr = Instr.create ~now:(fun () -> Hac_fault.Clock.now clock) () in
   let t =

@@ -689,10 +689,6 @@ let set_pass_caches (ctx : Ctx.t) on = ctx.pass_caches <- on
 
 let pass_caches_enabled (ctx : Ctx.t) = ctx.pass_caches
 
-let set_cas (ctx : Ctx.t) on = Index.set_use_cas ctx.index on
-
-let cas_enabled (ctx : Ctx.t) = Index.use_cas ctx.index
-
 (* Stats-time accounting: measuring the CAS postings forces every partition
    snapshot, so the container gauges are published here — never on the
    indexing path. *)

@@ -32,7 +32,8 @@ val create :
     reindexes and re-evaluates after every mutation — convenient
     interactively, costly on bulk loads.  [reindex_every] triggers the
     paper's periodic data-consistency pass after that many mutations.
-    [block_size] and [stem] configure the content index. *)
+    [block_size] (Glimpse's block view, default 1) and [stem] configure the
+    content index. *)
 
 val of_fs :
   ?block_size:int ->
@@ -207,15 +208,6 @@ val set_pass_caches : t -> bool -> unit
 
 val pass_caches_enabled : t -> bool
 (** Current setting of {!set_pass_caches}. *)
-
-val set_cas : t -> bool -> unit
-(** Enable/disable the combined content-and-structure query path
-    ({!Hac_index.Index.set_use_cas}).  On by default; off, term lookups fall
-    back to Glimpse block expansion — the ablation baseline.  Results are
-    identical either way (both paths verify candidates). *)
-
-val cas_enabled : t -> bool
-(** Current setting of {!set_cas}. *)
 
 val index_report : t -> Hac_index.Cas.stats
 (** Container histogram and memory accounting of the CAS postings, also

@@ -4,6 +4,7 @@
 module Fs = Hac_vfs.Fs
 module Vpath = Hac_vfs.Vpath
 module Image = Hac_vfs.Image
+module Seal = Hac_store.Seal
 
 let checksum = Seal.checksum
 let seal = Seal.seal

@@ -14,11 +14,11 @@ let replay_journal_report text =
 
 let replay_journal text = fst (replay_journal_report text)
 
-(* Structure files are sealed whole ({!Seal.seal_blob}); a damaged or
-   unsealed one reads as absent (all-or-nothing). *)
+(* Structure files are sealed whole ({!Hac_store.Seal.seal_blob}); a damaged
+   or unsealed one reads as absent (all-or-nothing). *)
 let read_opt fs path =
   match Fs.read_file fs path with
-  | data -> Seal.unseal_file data
+  | data -> Hac_store.Seal.unseal_file data
   | exception Hac_vfs.Errno.Error _ -> None
 
 let chain_replay t =

@@ -137,8 +137,8 @@ let attr_docs ?within ?cache (ctx : Ctx.t) key value =
           | None -> false)
         base
   | _ -> (
-      (* Transducer-extracted attributes: block-coarse candidates from the
-         index, verified by re-extracting from the candidate's content. *)
+      (* Transducer-extracted attributes: candidates from the index,
+         verified by re-extracting from the candidate's content. *)
       match Index.transducer ctx.index with
       | None -> Fileset.empty
       | Some td ->
@@ -161,14 +161,13 @@ let attr_docs ?within ?cache (ctx : Ctx.t) key value =
           in
           Fileset.filter verify (Index.attr_docs ?within ctx.index key value))
 
-(* Measured candidate counts for the planner.  With the CAS index on these
-   are per-container cardinalities of exactly the partitions a lookup would
-   touch (scoped by [?under] when the evaluation has a subtree scope);
-   with it off they fall back to Glimpse posting-block upper bounds.  No
-   candidate set is ever materialised, and — because [eval_query_par] calls
-   this from worker domains — no metric, tracer or cache is touched here.
-   Verification never widens a candidate set, so these are sound upper
-   bounds for ordering conjunctions. *)
+(* Measured candidate counts for the planner: per-container cardinalities
+   of exactly the partitions a lookup would touch (scoped by [?under] when
+   the evaluation has a subtree scope).  No candidate set is ever
+   materialised, and — because [eval_query_par] calls this from worker
+   domains — no metric, tracer or cache is touched here.  Verification
+   never widens a candidate set, so these are sound upper bounds for
+   ordering conjunctions. *)
 let term_cost ?under (ctx : Ctx.t) term =
   let universe_size () = Index.doc_count ctx.index in
   match term with
@@ -356,7 +355,7 @@ let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
       (* Sealed whole, so a torn write leaves a detectably-damaged file
          rather than a silently truncated query or link set. *)
       List.iter2 (Fs.write_file ctx.fs) (meta_files sd.Semdir.uid)
-        (List.map Seal.seal_blob [ query_data; links_data; proh_data; result_data ]))
+        (List.map Hac_store.Seal.seal_blob [ query_data; links_data; proh_data; result_data ]))
 
 let unpersist_semdir (ctx : Ctx.t) uid =
   Ctx.with_maintenance ctx (fun () ->
@@ -937,7 +936,7 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
             forget path
       else forget path)
     paths;
-  (* Lazy updates leave stale block bits behind (Glimpse-style); once a
+  (* Lazy updates leave stale postings behind (Glimpse-style); once a
      third of the document slots are dead weight, compact. *)
   if Index.stale_ratio ctx.index > 0.33 && Index.doc_count ctx.index > 0 then begin
     Hac_obs.Metrics.incr i.Instr.index_rebuilds;

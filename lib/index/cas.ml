@@ -8,12 +8,12 @@
    relevant slice of the posting list instead of expanding everything and
    filtering against a subtree set afterwards.
 
-   Laziness contract (same as the Glimpse block index): partitions are
-   supersets of the truth.  Removing a document does not erase its postings
-   (the [alive] set is intersected in), and renaming a document does not move
-   its old postings between partitions — the document joins the [relabeled]
-   set, which is unioned into every scoped answer so it stays a sound
-   superset.  Verification cleans candidates; {!reset} (on rebuild) reclaims.
+   Laziness contract (Glimpse's): partitions are supersets of the truth.
+   Removing a document does not erase its postings (the [alive] set is
+   intersected in), and renaming a document does not move its old postings
+   between partitions — the document joins the [relabeled] set, which is
+   unioned into every scoped answer so it stays a sound superset.
+   Verification cleans candidates; {!reset} (on rebuild) reclaims.
 
    Concurrency: all mutation happens on the main domain between settle
    passes.  During passes, worker domains only read — the lone mutable reads
@@ -196,6 +196,26 @@ let word_key w = "w:" ^ w
 
 let attr_key k v = "a:" ^ k ^ "\x00" ^ v
 
+type term = Word of string | Attr of string * string
+
+let decode_key key =
+  let n = String.length key in
+  if n < 2 || key.[1] <> ':' then None
+  else
+    let body = String.sub key 2 (n - 2) in
+    match key.[0] with
+    | 'w' -> Some (Word body)
+    | 'a' -> (
+        match String.index_opt body '\x00' with
+        | Some i -> Some (Attr (String.sub body 0 i, String.sub body (i + 1) (n - 3 - i)))
+        | None -> None)
+    | _ -> None
+
+let fold_terms t f acc =
+  Hashtbl.fold
+    (fun key _ acc -> match decode_key key with Some term -> f term acc | None -> acc)
+    t.terms acc
+
 let post t key id =
   let e =
     match Hashtbl.find_opt t.terms key with
@@ -306,8 +326,8 @@ let attr_candidates ?under t k v = candidates ?under t (attr_key k v)
 
    Candidate-cardinality estimate from partition sizes alone: the sum of the
    covered partitions' cardinalities (plus the relabeled drift), no set
-   materialization.  Unlike the block estimate this reflects the documents
-   the term actually touches, per scope. *)
+   materialization.  This reflects the documents the term actually touches,
+   per scope. *)
 
 let cost ?under t key =
   match Hashtbl.find_opt t.terms key with

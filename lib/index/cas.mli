@@ -2,11 +2,11 @@
     path-prefix label, so a path-scoped term lookup unions only the
     partitions whose label can contain documents under the scope.
 
-    Same laziness contract as the Glimpse block index — every answer is a
-    sound superset of the truth (removals are masked by the alive set,
-    renames by the relabeled set) and callers verify candidates against real
-    content.  Mutation is main-domain-only between settle passes; lookups
-    and costs are safe from worker domains. *)
+    Glimpse's laziness contract — every answer is a sound superset of the
+    truth (removals are masked by the alive set, renames by the relabeled
+    set) and callers verify candidates against real content.  Mutation is
+    main-domain-only between settle passes; lookups and costs are safe from
+    worker domains. *)
 
 type t
 
@@ -44,6 +44,16 @@ val attr_key : string -> string -> string
 (** The flat encodings of a (stemmed) word / lowercased attribute pair as a
     single term key (["w:…"] / ["a:…"]) — the key space {!iter_terms}
     enumerates and on-disk postings segments are addressed by. *)
+
+type term = Word of string | Attr of string * string
+
+val decode_key : string -> term option
+(** Inverse of {!word_key}/{!attr_key}; [None] for a string neither
+    produces. *)
+
+val fold_terms : t -> (term -> 'a -> 'a) -> 'a -> 'a
+(** Fold over every term ever posted since the last {!reset}, decoded —
+    including terms whose documents have all died.  No snapshot is forced. *)
 
 val iter_terms : t -> (string -> Hac_bitset.Fileset.t -> unit) -> unit
 (** Every term key with its live posting set (all partitions unioned, dead

@@ -1,4 +1,3 @@
-module Bitset = Hac_bitset.Bitset
 module Fileset = Hac_bitset.Fileset
 
 type doc_id = int
@@ -23,16 +22,13 @@ type t = {
   mutable docs : doc array; (* slot = doc_id; grows, never shrinks *)
   mutable next_id : int;
   by_path : (string, doc_id) Hashtbl.t;
-  postings : (string, Bitset.t) Hashtbl.t; (* word -> block bitmap *)
-  attr_postings : (string * string, Bitset.t) Hashtbl.t; (* (attr, value) -> block bitmap *)
   mutable lazy_ops : int; (* removals + in-place updates since the last rebuild *)
   by_dir : (string, Fileset.Builder.t) Hashtbl.t; (* ancestor dir -> live docs beneath it *)
   cas : Cas.t; (* content-and-structure postings, doc-granular *)
-  mutable use_cas : bool; (* query-path knob: CAS vs block expansion *)
   mutable cold : cold option; (* on-disk postings behind the resident ones *)
 }
 
-let create ?(block_size = 8) ?(stem = true) ?transducer () =
+let create ?(block_size = 1) ?(stem = true) ?transducer () =
   if block_size < 1 then invalid_arg "Index.create: block_size < 1";
   {
     block_size;
@@ -41,18 +37,11 @@ let create ?(block_size = 8) ?(stem = true) ?transducer () =
     docs = Array.make 64 { path = ""; alive = false };
     next_id = 0;
     by_path = Hashtbl.create 256;
-    postings = Hashtbl.create 4096;
-    attr_postings = Hashtbl.create 64;
     lazy_ops = 0;
     by_dir = Hashtbl.create 256;
     cas = Cas.create ();
-    use_cas = true;
     cold = None;
   }
-
-let set_use_cas t flag = t.use_cas <- flag
-
-let use_cas t = t.use_cas
 
 let set_cold t ~lookup ~cost ~words = t.cold <- Some { lookup; cost; words }
 
@@ -68,8 +57,6 @@ let transducer t = t.transducer
 
 let key t w = if t.stem then Stemmer.stem w else w
 
-let block_of t id = id / t.block_size
-
 let ensure_docs t id =
   let n = Array.length t.docs in
   if id >= n then begin
@@ -77,24 +64,6 @@ let ensure_docs t id =
     Array.blit t.docs 0 docs 0 n;
     t.docs <- docs
   end
-
-let post_word t block w =
-  let w = key t w in
-  match Hashtbl.find_opt t.postings w with
-  | Some bm -> Bitset.add bm block
-  | None ->
-      let bm = Bitset.create ~capacity:(block + 1) () in
-      Bitset.add bm block;
-      Hashtbl.replace t.postings w bm
-
-let post_attr t block key value =
-  let k = (String.lowercase_ascii key, String.lowercase_ascii value) in
-  match Hashtbl.find_opt t.attr_postings k with
-  | Some bm -> Bitset.add bm block
-  | None ->
-      let bm = Bitset.create ~capacity:(block + 1) () in
-      Bitset.add bm block;
-      Hashtbl.replace t.attr_postings k bm
 
 (* Every ancestor directory of "/a/b/c.txt": "/", "/a", "/a/b".  Paths are
    normalized absolute by the callers' convention. *)
@@ -127,24 +96,19 @@ let dir_withdraw t path id =
     (ancestors path)
 
 let index_content t id path content =
-  let block = block_of t id in
   Cas.note_doc t.cas id ~path;
-  Tokenizer.iter_words content (fun w ->
-      post_word t block w;
-      Cas.post_word t.cas id (key t w));
+  Tokenizer.iter_words content (fun w -> Cas.post_word t.cas id (key t w));
   match t.transducer with
   | None -> ()
   | Some td ->
       List.iter
-        (fun (k, v) ->
-          post_attr t block k v;
-          Cas.post_attr t.cas id (String.lowercase_ascii k) (String.lowercase_ascii v))
+        (fun (k, v) -> Cas.post_attr t.cas id (String.lowercase_ascii k) (String.lowercase_ascii v))
         (td.Transducer.extract ~path ~content)
 
 let update_document t ~path ~content =
   match Hashtbl.find_opt t.by_path path with
   | Some id ->
-      (* Lazy update: stale words keep their block bits until [rebuild]. *)
+      (* Lazy update: stale words keep their postings until [rebuild]. *)
       t.lazy_ops <- t.lazy_ops + 1;
       index_content t id path content;
       id
@@ -230,42 +194,6 @@ let doc_path t id =
 
 let doc_of_path t path = Hashtbl.find_opt t.by_path path
 
-(* Blocks iterate in increasing order and block ranges are disjoint, so the
-   candidate ids stream out strictly increasing — straight into containers,
-   no intermediate bitmap (the old code built a Bitset and copied it). *)
-let expand_blocks t blocks =
-  Fileset.of_increasing_iter (fun f ->
-      Bitset.iter
-        (fun block ->
-          let lo = block * t.block_size in
-          let hi = min (((block + 1) * t.block_size) - 1) (t.next_id - 1) in
-          for id = lo to hi do
-            if t.docs.(id).alive then f id
-          done)
-        blocks)
-
-(* Delta-restricted expansion: when the caller only cares about a known
-   (small) candidate set, test each of its members against the block bitmap
-   instead of expanding every posting block — O(|within|) rather than
-   O(populated blocks × block_size). *)
-let within_blocks t blocks wset =
-  Fileset.filter
-    (fun id ->
-      id >= 0 && id < t.next_id && t.docs.(id).alive && Bitset.mem blocks (block_of t id))
-    wset
-
-let expand ?within t blocks =
-  match within with
-  | None -> expand_blocks t blocks
-  | Some wset -> within_blocks t blocks wset
-
-(* CAS query path: doc-granular partitioned postings, resolved per scope.
-   [?under] restricts candidate generation to the partitions whose label can
-   contain documents under the given directory — sound because every answer
-   is a verified superset, and the caller intersects the final result with
-   the scope set anyway.  With [use_cas] off (the ablation/differential
-   baseline) terms fall back to Glimpse block expansion and [?under] is
-   ignored. *)
 (* Cold candidates for one encoded term key: the provider's set masked by
    the live universe (dead documents' segment postings must not leak). *)
 let cold_docs t key =
@@ -277,54 +205,80 @@ let cold_docs t key =
 
 let cold_cost t key = match t.cold with None -> 0 | Some c -> c.cost key
 
+(* Glimpse's block granularity as a view over the doc-granular postings:
+   every candidate brings in the live documents of its block ([id /
+   block_size]), the set a block bitmap would have answered.  Candidates
+   arrive in increasing order and blocks are disjoint, so the widened ids
+   stream out increasing too. *)
+let widen t s =
+  if t.block_size = 1 then s
+  else
+    Fileset.of_increasing_iter (fun f ->
+        let last = ref (-1) in
+        Fileset.iter
+          (fun id ->
+            let block = id / t.block_size in
+            if block <> !last then begin
+              last := block;
+              let lo = block * t.block_size in
+              for id = lo to min (lo + t.block_size - 1) (t.next_id - 1) do
+                if t.docs.(id).alive then f id
+              done
+            end)
+          s)
+
+let with_cold t resident key =
+  if t.cold = None then resident else Fileset.union resident (cold_docs t key)
+
+let finish ?within t c =
+  let c = widen t c in
+  match within with None -> c | Some wset -> Fileset.inter c wset
+
+(* [?under] restricts candidate generation to the partitions whose label can
+   contain documents under the given directory — sound because every answer
+   is a verified superset, and the caller intersects the final result with
+   the scope set anyway. *)
 let candidate_docs ?within ?under t w =
   let w = key t w in
-  let base =
-    if t.use_cas then Cas.word_candidates ?under t.cas w
-    else
-      match Hashtbl.find_opt t.postings w with
-      | None -> Fileset.empty
-      | Some blocks -> expand ?within t blocks
+  finish ?within t (with_cold t (Cas.word_candidates ?under t.cas w) (Cas.word_key w))
+
+let attr_docs ?within ?under t key value =
+  let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
+  finish ?within t
+    (with_cold t (Cas.attr_candidates ?under t.cas key value) (Cas.attr_key key value))
+
+(* Resident words, then the cold provider's: adopted documents' vocabulary
+   lives only in segment directories, so approximate and regex queries must
+   sweep both or go blind to everything a fast mount did not reindex. *)
+let fold_words t f acc =
+  let acc =
+    Cas.fold_terms t.cas
+      (fun term acc -> match term with Cas.Word w -> f w acc | Cas.Attr _ -> acc)
+      acc
   in
-  let c =
-    if t.cold = None then base else Fileset.union base (cold_docs t (Cas.word_key w))
-  in
-  match within with None -> c | Some wset -> Fileset.inter c wset
+  match t.cold with
+  | None -> acc
+  | Some cold -> List.fold_left (fun acc w -> f w acc) acc (cold.words ())
+
+let vocabulary t = List.sort_uniq compare (fold_words t List.cons [])
+
+let vocabulary_size t = List.length (vocabulary t)
+
+let attributes t =
+  Cas.fold_terms t.cas
+    (fun term acc -> match term with Cas.Attr (a, v) -> (a, v) :: acc | Cas.Word _ -> acc)
+    []
+  |> List.sort compare
 
 let candidate_docs_approx ?within t ~word ~errors =
   let word = key t word in
-  let blocks = Bitset.create () in
-  Hashtbl.iter
-    (fun w bm -> if Agrep.word_matches ~pattern:word ~errors w then Bitset.union_into blocks bm)
-    t.postings;
-  let base = expand ?within t blocks in
-  match t.cold with
-  | None -> base
-  | Some cold ->
-      (* Adopted documents' vocabulary lives only in segment directories;
-         sweep it for near-matches too or approximate queries would go
-         blind to everything a fast mount did not reindex. *)
-      let c =
-        List.fold_left
-          (fun acc w ->
-            if Agrep.word_matches ~pattern:word ~errors w then
-              Fileset.union acc (cold_docs t (Cas.word_key w))
-            else acc)
-          base (cold.words ())
-      in
-      (match within with None -> c | Some wset -> Fileset.inter c wset)
-
-let vocabulary t =
-  let resident = Hashtbl.fold (fun w _ acc -> w :: acc) t.postings [] in
-  let all =
-    match t.cold with None -> resident | Some cold -> cold.words () @ resident
-  in
-  List.sort_uniq compare all
-
-let vocabulary_size t =
-  match t.cold with
-  | None -> Hashtbl.length t.postings
-  | Some _ -> List.length (vocabulary t)
+  fold_words t
+    (fun w acc ->
+      if Agrep.word_matches ~pattern:word ~errors w then
+        Fileset.union acc (with_cold t (Cas.word_candidates t.cas w) (Cas.word_key w))
+      else acc)
+    Fileset.empty
+  |> finish ?within t
 
 (* Snapshot of the by_dir builder: cached between mutations, so repeated
    scope computations over a settled tree cost a hashtable lookup. *)
@@ -333,52 +287,16 @@ let doc_ids_under t dir =
   | Some b -> Fileset.Builder.snapshot b
   | None -> Fileset.empty
 
-let attr_docs ?within ?under t key value =
-  let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
-  let base =
-    if t.use_cas then Cas.attr_candidates ?under t.cas key value
-    else
-      match Hashtbl.find_opt t.attr_postings (key, value) with
-      | None -> Fileset.empty
-      | Some blocks -> expand ?within t blocks
-  in
-  let c =
-    if t.cold = None then base
-    else Fileset.union base (cold_docs t (Cas.attr_key key value))
-  in
-  match within with None -> c | Some wset -> Fileset.inter c wset
-
-(* Candidate-cardinality upper bound from posting-block population alone —
-   no block expansion, so safe to call once per query term per resync. *)
-let blocks_cost t = function
-  | None -> 0
-  | Some blocks ->
-      let pop = Bitset.cardinal blocks in
-      if pop > max_int / t.block_size then doc_count t
-      else min (pop * t.block_size) (doc_count t)
-
-(* With CAS on, term costs are measured partition cardinalities of the real
-   compressed representation (scoped by [?under]); otherwise the Glimpse
-   block upper bound.  Called from worker domains during parallel passes —
+(* Measured partition cardinalities of the lookup (scoped by [?under]) plus
+   the cold provider's.  Called from worker domains during parallel passes —
    must not touch metrics or other main-domain-only state. *)
 let term_cost ?under t w =
   let w = key t w in
-  let resident =
-    if t.use_cas then Cas.word_cost ?under t.cas w
-    else blocks_cost t (Hashtbl.find_opt t.postings w)
-  in
-  resident + cold_cost t (Cas.word_key w)
+  Cas.word_cost ?under t.cas w + cold_cost t (Cas.word_key w)
 
 let attr_cost ?under t key value =
   let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
-  let resident =
-    if t.use_cas then Cas.attr_cost ?under t.cas key value
-    else blocks_cost t (Hashtbl.find_opt t.attr_postings (key, value))
-  in
-  resident + cold_cost t (Cas.attr_key key value)
-
-let attributes t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.attr_postings [] |> List.sort compare
+  Cas.attr_cost ?under t.cas key value + cold_cost t (Cas.attr_key key value)
 
 let rebuild t reader =
   t.lazy_ops <- 0;
@@ -386,8 +304,6 @@ let rebuild t reader =
      postings cover everything the cold segments did (for live documents);
      dropping the provider here is what ultimately retires segment files. *)
   t.cold <- None;
-  Hashtbl.reset t.postings;
-  Hashtbl.reset t.attr_postings;
   Cas.reset t.cas;
   for id = 0 to t.next_id - 1 do
     if t.docs.(id).alive then
@@ -397,6 +313,7 @@ let rebuild t reader =
           (* The document vanished from under us; treat as removed. *)
           Hashtbl.remove t.by_path t.docs.(id).path;
           t.docs.(id).alive <- false;
+          dir_withdraw t t.docs.(id).path id;
           Cas.note_remove t.cas id
   done
 
@@ -404,15 +321,6 @@ let cas_stats t = Cas.stats ~universe:t.next_id t.cas
 
 let index_bytes t =
   let word = Sys.int_size / 8 + 1 in
-  let postings_bytes =
-    Hashtbl.fold
-      (fun w bm acc -> acc + String.length w + (2 * word) + Bitset.byte_size bm)
-      t.postings 0
-    + Hashtbl.fold
-        (fun (a, v) bm acc ->
-          acc + String.length a + String.length v + (3 * word) + Bitset.byte_size bm)
-        t.attr_postings 0
-  in
   let dir_bytes =
     Hashtbl.fold
       (fun dir b acc ->
@@ -427,7 +335,7 @@ let index_bytes t =
     done;
     !acc
   in
-  postings_bytes + dir_bytes + docs_bytes + (cas_stats t).Cas.bytes
+  dir_bytes + docs_bytes + (cas_stats t).Cas.bytes
 
 let stale_ratio t =
   let live = doc_count t in

@@ -1,17 +1,21 @@
-(** The Glimpse-style two-level content index — HAC's default CBA mechanism.
+(** The content index — HAC's default CBA mechanism, after Glimpse.
 
-    Documents (files) are assigned dense integer identifiers and grouped into
-    fixed-size {e blocks}.  The inverted index maps each (stemmed) word to a
-    bitmap of blocks, not of documents: that is Glimpse's space/precision
-    trade-off.  A word lookup expands candidate blocks to their live
-    documents; callers needing exact answers verify candidates against the
-    actual contents ({!Search}).  With [block_size = 1] the index degenerates
-    to a precise document-level inverted index.
+    Documents (files) are assigned dense integer identifiers.  Each (stemmed)
+    word and each transducer attribute/value pair has one doc-granular
+    posting set, held by the content-and-structure postings of {!Cas}
+    (partitioned by path label, so scoped lookups touch only the relevant
+    slice).  A lookup answers a {e candidate} superset; callers needing exact
+    answers verify candidates against the actual contents ({!Search}).
+
+    Glimpse's block granularity is a view, not a second structure: with
+    [block_size > 1] every candidate set is widened at lookup time to the
+    whole blocks ([id / block_size]) its members fall in — the answer a
+    block bitmap would give — and verification trims the extra documents.
 
     Updates are lazy, like Glimpse's: removing or rewriting a document does
-    not erase its old words from block bitmaps (that would need per-block
-    reference counts); stale bits only cost verification work and disappear
-    on {!rebuild}. *)
+    not erase its old words' postings (removals are masked by the live set);
+    stale postings only cost verification work and disappear on
+    {!rebuild}. *)
 
 type t
 (** One index instance. *)
@@ -21,10 +25,11 @@ type doc_id = int
 
 val create : ?block_size:int -> ?stem:bool -> ?transducer:Transducer.t -> unit -> t
 (** A fresh empty index.  [block_size] is the number of document slots per
-    block (default 8); [stem] applies {!Stemmer.stem} to indexed and queried
-    words (default [true]); [transducer] extracts attribute/value pairs from
-    every document (default: none), making [attr:value] query terms answer
-    from content metadata. *)
+    block of the Glimpse view (default 1: doc-granular candidates); [stem]
+    applies {!Stemmer.stem} to indexed and queried words (default [true]);
+    [transducer] extracts attribute/value pairs from every document
+    (default: none), making [attr:value] query terms answer from content
+    metadata. *)
 
 val block_size : t -> int
 (** The block size chosen at creation. *)
@@ -105,20 +110,18 @@ val doc_of_path : t -> string -> doc_id option
 val candidate_docs :
   ?within:Hac_bitset.Fileset.t -> ?under:string -> t -> string -> Hac_bitset.Fileset.t
 (** Live documents that may contain the word (after stemming) — a superset
-    of the true answer, to be verified by the caller.  With the CAS path on
-    (default, see {!set_use_cas}) candidates come from the doc-granular
-    partitioned postings; [?under] (a normalized absolute directory)
+    of the true answer, widened to whole blocks by the block view, to be
+    verified by the caller.  [?under] (a normalized absolute directory)
     restricts generation to the partitions whose path label can hold
     documents under that scope, which is sound whenever the caller
     intersects the final result with a subtree scope below [under].
-    [?within] intersects the answer with the given set.  With CAS off the
-    Glimpse block path is used, [?under] is ignored, and [?within] restricts
-    without expanding posting blocks. *)
+    [?within] intersects the answer with the given set. *)
 
 val candidate_docs_approx :
   ?within:Hac_bitset.Fileset.t -> t -> word:string -> errors:int -> Hac_bitset.Fileset.t
-(** Union of {!candidate_docs} over every vocabulary word within the given
-    edit distance of [word] — Glimpse's approximate-query expansion. *)
+(** Union of {!candidate_docs} over every vocabulary word (resident and
+    cold) within the given edit distance of [word] — Glimpse's
+    approximate-query expansion. *)
 
 val doc_ids_under : t -> string -> Hac_bitset.Fileset.t
 (** Live documents at or below a (normalized, absolute) directory path —
@@ -139,48 +142,40 @@ val attr_docs :
     {!candidate_docs}; attribute lookups are exact on the value. *)
 
 val term_cost : ?under:string -> t -> string -> int
-(** Estimate of [candidate_docs t w]'s cardinality.  With CAS on this is
-    measured from the compressed partitions the lookup would actually touch
-    (scoped by [?under]); with CAS off it is the Glimpse posting-block upper
-    bound (populated blocks × block size, clamped to the live document
-    count).  Never materializes a candidate set — cheap enough to consult
-    once per query term on every resync, which is what {!Planner.optimize}
-    needs to rank conjuncts by real selectivity.  Safe to call from worker
-    domains. *)
+(** Estimate of [candidate_docs t w]'s cardinality before the block view
+    widens it, measured from the compressed partitions the lookup would
+    actually touch (scoped by [?under]) plus the cold provider's count.
+    Never materializes a candidate set — cheap enough to consult once per query
+    term on every resync, which is what {!Planner.optimize} needs to rank
+    conjuncts by real selectivity.  Safe to call from worker domains. *)
 
 val attr_cost : ?under:string -> t -> string -> string -> int
 (** {!term_cost} for an attribute/value pair. *)
-
-val set_use_cas : t -> bool -> unit
-(** Toggle the CAS query path (default on).  Off, term lookups fall back to
-    Glimpse block expansion — the ablation baseline; indexing maintains both
-    structures either way, so the knob can be flipped at any time. *)
-
-val use_cas : t -> bool
-(** Current state of the CAS query-path knob. *)
 
 val cas_stats : t -> Cas.stats
 (** Memory accounting and container histogram of the CAS postings (forces
     partition snapshots — a stats-time cost). *)
 
 val attributes : t -> (string * string) list
-(** All indexed attribute/value pairs, sorted. *)
+(** All resident attribute/value pairs, sorted. *)
 
 val vocabulary : t -> string list
-(** All indexed (stemmed) words, sorted. *)
+(** All indexed (stemmed) words, resident and cold, sorted. *)
 
 val vocabulary_size : t -> int
 (** Number of distinct indexed words. *)
 
 val rebuild : t -> (doc_id -> string option) -> unit
 (** Drop all postings and reindex every live document from the reader —
-    reclaims stale bits left by removals and updates. *)
+    reclaims stale postings left by removals and updates.  A document the
+    reader cannot supply is dropped as removed. *)
 
 val index_bytes : t -> int
-(** Estimated byte size of the index structures (vocabulary + block bitmaps
-    + document table): the paper's Table 3 space column. *)
+(** Estimated byte size of the index structures (compressed postings +
+    per-directory sets + document table): the paper's Table 3 space
+    column. *)
 
 val stale_ratio : t -> float
 (** Fraction of lazy operations (removals and in-place updates, which leave
-    stale block bits) relative to live documents since the last {!rebuild}
+    stale postings) relative to live documents since the last {!rebuild}
     — the rebuild-freshness signal used for automatic compaction. *)

@@ -258,52 +258,19 @@ let search_phrase ?probe ?within ?under ?cache idx reader words =
   | [] -> Fileset.empty
   | [ w ] -> search_word ?probe ?within ?under ?cache idx reader w
   | _ ->
-      let candidates =
-        if Index.use_cas idx then begin
-          (* Doc-granular postings: fetch every word's candidate set (cached
-             per term) and hand the lot to the container-level rarest-first
-             [inter_many] — no pairwise intermediates. *)
-          let sets =
-            List.map
-              (fun w ->
-                tick probe (fun p ->
-                    p.postings_scanned <- p.postings_scanned + Index.term_cost ?under idx w);
-                Index.candidate_docs ?under idx w)
-              words
-          in
-          let sets = match within with Some w -> w :: sets | None -> sets in
-          Fileset.inter_many sets
-        end
-        else begin
-          (* Rarest-first over block postings: expand the cheapest posting
-             first and feed the accumulated intersection to each later
-             expansion as its [within] — {!Index.expand}'s delta-restricted
-             path then tests the shrinking candidate set against the block
-             bitmap instead of expanding every block, and an empty
-             intersection stops before touching the remaining postings.
-             Verification keeps the original word order. *)
-          let ranked =
-            List.stable_sort
-              (fun a b -> compare (Index.term_cost idx a) (Index.term_cost idx b))
-              words
-          in
-          match ranked with
-          | [] -> Fileset.empty
-          | w0 :: rest ->
-              tick probe (fun p ->
-                  p.postings_scanned <- p.postings_scanned + Index.term_cost idx w0);
-              List.fold_left
-                (fun acc w ->
-                  if Fileset.is_empty acc then acc
-                  else begin
-                    tick probe (fun p ->
-                        p.postings_scanned <- p.postings_scanned + Index.term_cost idx w);
-                    Index.candidate_docs ~within:acc idx w
-                  end)
-                (Index.candidate_docs ?within idx w0)
-                rest
-        end
+      (* Fetch every word's candidate set (cached per term) and hand the lot
+         to the container-level rarest-first [inter_many] — no pairwise
+         intermediates. *)
+      let sets =
+        List.map
+          (fun w ->
+            tick probe (fun p ->
+                p.postings_scanned <- p.postings_scanned + Index.term_cost ?under idx w);
+            Index.candidate_docs ?under idx w)
+          words
       in
+      let sets = match within with Some w -> w :: sets | None -> sets in
+      let candidates = Fileset.inter_many sets in
       let candidates = restrict ?probe within (expanded ?probe candidates) in
       (match cache with
       | None ->

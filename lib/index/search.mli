@@ -1,6 +1,6 @@
 (** Candidate verification and content retrieval over an {!Index.t}.
 
-    The index answers with block-granular candidate sets; the functions here
+    The index answers with candidate supersets; the functions here
     read the candidate documents and keep only the ones whose contents
     actually match — Glimpse's second level.  Content access is abstracted
     as a [reader] so the same code serves the local VFS, remote namespaces
@@ -99,12 +99,9 @@ val search_phrase :
   reader ->
   string list ->
   Hac_bitset.Fileset.t
-(** Documents containing the words consecutively, in order.  With the CAS
-    path on, the per-word candidate sets go through the container-level
-    rarest-first {!Fileset.inter_many}; on the block path the intersection
-    is built rarest-first ({!Index.term_cost} order) with each partial
-    intersection narrowing the next posting expansion, short-circuiting when
-    it empties. *)
+(** Documents containing the words consecutively, in order.  The per-word
+    candidate sets go through the container-level rarest-first
+    {!Fileset.inter_many}. *)
 
 val search_approx :
   ?probe:probe ->

@@ -310,8 +310,7 @@ let space_report s buf =
     (Hac.hac_overhead_bytes sp) sp.Hac.semdir_bytes sp.Hac.uidmap_bytes sp.Hac.depgraph_bytes;
   out buf "fs metadata bytes    : %d\n" sp.Hac.fs_metadata_bytes;
   let cs = Hac.index_report s.t in
-  out buf "postings (CAS %s)    : %d bytes, %d terms, %d partitions, %d labels\n"
-    (if Hac.cas_enabled s.t then "on" else "off")
+  out buf "postings             : %d bytes, %d terms, %d partitions, %d labels\n"
     cs.Hac_index.Cas.bytes cs.Hac_index.Cas.terms cs.Hac_index.Cas.partitions
     cs.Hac_index.Cas.labels;
   out buf "containers           : %d arrays, %d bitmaps, %d runs\n" cs.Hac_index.Cas.arrays

@@ -228,14 +228,15 @@ let cold_cost t key =
   List.fold_left (fun acc seg -> acc + Segs.cost seg key) 0 t.segs
 
 (* Word terms present in any live segment's directory (for approximate-
-   match vocabulary expansion); keys are "w:<word>". *)
+   match vocabulary expansion). *)
 let cold_words t =
   let words = Hashtbl.create 256 in
   List.iter
     (fun seg ->
       Segs.iter_terms seg (fun key _card ->
-          if String.length key > 2 && String.sub key 0 2 = "w:" then
-            Hashtbl.replace words (String.sub key 2 (String.length key - 2)) ()))
+          match Hac_index.Cas.decode_key key with
+          | Some (Hac_index.Cas.Word w) -> Hashtbl.replace words w ()
+          | Some (Hac_index.Cas.Attr _) | None -> ()))
     t.segs;
   Hashtbl.fold (fun w () acc -> w :: acc) words []
 

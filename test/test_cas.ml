@@ -1,11 +1,11 @@
-(* The CAS index's correctness claim is equivalence: with the combined
-   content-and-structure postings answering term lookups (the default),
+(* The index's correctness claim is equivalence under granularity: with
+   the Glimpse block view widening every candidate set to 8-document blocks,
    every externally observable result — links, prohibitions, persisted
-   metadata — must be byte-identical to the Glimpse block path (the
-   ablation baseline), over arbitrary interleavings of content and
-   structural mutations.  Differential twin runs check that claim under
-   pinned seeds and a QCheck sweep; Index-level units pin the [?under]
-   superset contract through renames, removals and label drift. *)
+   metadata — must be byte-identical to the doc-granular default, over
+   arbitrary interleavings of content and structural mutations.
+   Differential twin runs check that claim under pinned seeds and a QCheck
+   sweep; Index-level units pin the [?under] superset contract through
+   renames, removals and label drift. *)
 
 module Hac = Hac_core.Hac
 module Link = Hac_core.Link
@@ -13,6 +13,7 @@ module Fs = Hac_vfs.Fs
 module Fileset = Hac_bitset.Fileset
 module Index = Hac_index.Index
 module Search = Hac_index.Search
+module Cas = Hac_index.Cas
 
 (* Files at two depths so posting partitions carry distinct labels, and
    semantic dirs both at the root and below a plain directory so scoped
@@ -102,9 +103,17 @@ let persisted t =
              if Fs.is_file fs p then Printf.sprintf "%s:%s" n (Fs.read_file fs p) else n)
       |> String.concat "\n"
 
-let fresh () =
-  let t = Hac.create ~stem:false () in
-  List.iter (Hac.mkdir_p t) [ "/d0"; "/nest/d1"; "/nest/d2" ];
+(* Five filler documents take ids 0-4, so the files under test get ids
+   that straddle the first 8-document block boundary.  Without them those
+   files mostly hold ids 0-4, all in block 0, and the twin would rarely see
+   a block view that mishandles block edges. *)
+let fresh ~block_size =
+  let t = Hac.create ~stem:false ~block_size () in
+  List.iter (Hac.mkdir_p t) [ "/d0"; "/nest/d1"; "/nest/d2"; "/fill" ];
+  for i = 0 to 4 do
+    Hac.write_file t (Printf.sprintf "/fill/f%d.txt" i) "filler\n"
+  done;
+  Hac.settle t;
   t
 
 let rec batches = function
@@ -119,12 +128,11 @@ let rec batches = function
       let batch, rest = take 3 ops in
       batch :: batches rest
 
-(* Twin run: A answers terms through the CAS partitions (the default), B
-   through Glimpse block expansion; observable state and persisted metadata
-   must be byte-identical after every settle. *)
+(* Twin run: A answers terms doc-granular (the default), B through the
+   8-document block view; observable state and persisted metadata must be
+   byte-identical after every settle. *)
 let twin_run ~fail ops =
-  let a = fresh () and b = fresh () in
-  Hac.set_cas b false;
+  let a = fresh ~block_size:1 and b = fresh ~block_size:8 in
   List.iteri
     (fun i batch ->
       List.iter
@@ -145,15 +153,15 @@ let twin_run ~fail ops =
     (batches ops);
   (a, b)
 
-let prop_cas_equals_blocks =
-  QCheck.Test.make ~name:"CAS settle equals the block-index engine" ~count:40 arb_ops
+let prop_blocks_equal_docs =
+  QCheck.Test.make ~name:"block-8 settle equals the doc-granular engine" ~count:40 arb_ops
     (fun ops ->
       ignore (twin_run ops ~fail:(fun msg -> QCheck.Test.fail_report msg));
       true)
 
 (* The pinned regression the bench claims ride on: path-scoped queries
-   return byte-identical links under the old and the new index, at three
-   fixed seeds, every run. *)
+   return byte-identical links at both granularities, at three fixed seeds,
+   every run. *)
 let seeded_twins () =
   List.iter
     (fun seed ->
@@ -166,14 +174,6 @@ let seeded_twins () =
         (Printf.sprintf "seed %d: final state" seed)
         (observe b) (observe a))
     [ 1; 42; 1999 ]
-
-let test_knob_reads_back () =
-  let t = fresh () in
-  Alcotest.(check bool) "default on" true (Hac.cas_enabled t);
-  Hac.set_cas t false;
-  Alcotest.(check bool) "off reads back" false (Hac.cas_enabled t);
-  Hac.set_cas t true;
-  Alcotest.(check bool) "on reads back" true (Hac.cas_enabled t)
 
 (* -- Index-level scoped lookups ---------------------------------------------
 
@@ -285,14 +285,47 @@ let test_scoped_cost_no_larger () =
   (* And a scope that excludes every "green" document prices as empty. *)
   Alcotest.(check int) "green under /b costs 0" 0 (Index.term_cost ~under:"/b" idx "green")
 
+(* -- Term keys ------------------------------------------------------------------
+
+   The flat key encoding is what on-disk segments are addressed by, so its
+   decoder must invert both encoders exactly, reject strings neither
+   produces, and enumerate terms whose documents have all died. *)
+
+let term =
+  Alcotest.testable
+    (fun ppf -> function
+      | Cas.Word w -> Format.fprintf ppf "Word %S" w
+      | Cas.Attr (a, v) -> Format.fprintf ppf "Attr (%S, %S)" a v)
+    ( = )
+
+let test_term_keys_round_trip () =
+  let check_key msg expect key = Alcotest.(check (option term)) msg expect (Cas.decode_key key) in
+  List.iter
+    (fun w -> check_key ("word " ^ w) (Some (Cas.Word w)) (Cas.word_key w))
+    [ "red"; ""; "a:b"; "w:x" ];
+  List.iter
+    (fun (a, v) -> check_key ("attr " ^ a) (Some (Cas.Attr (a, v))) (Cas.attr_key a v))
+    [ ("author", "knuth"); ("type", ""); ("", "v"); ("k", "a\x00b") ];
+  List.iter (fun junk -> check_key ("junk " ^ String.escaped junk) None junk)
+    [ ""; "w"; "a"; "x:red"; "w-red"; "a:no-separator" ];
+  let cas = Cas.create () in
+  Cas.note_doc cas 0 ~path:"/d/a.txt";
+  Cas.post_word cas 0 "red";
+  Cas.post_attr cas 0 "author" "knuth";
+  Cas.note_remove cas 0;
+  let terms = Cas.fold_terms cas List.cons [] |> List.sort compare in
+  Alcotest.(check (list term))
+    "dead terms still enumerated"
+    (List.sort compare [ Cas.Word "red"; Cas.Attr ("author", "knuth") ])
+    terms
+
 let () =
   Alcotest.run "cas"
     [
       ( "differential",
         [
           Alcotest.test_case "pinned seeds 1/42/1999" `Quick seeded_twins;
-          Alcotest.test_case "knob reads back" `Quick test_knob_reads_back;
-          QCheck_alcotest.to_alcotest prop_cas_equals_blocks;
+          QCheck_alcotest.to_alcotest prop_blocks_equal_docs;
         ] );
       ( "scoped",
         [
@@ -301,4 +334,5 @@ let () =
           Alcotest.test_case "removals masked" `Quick test_removed_docs_masked;
           Alcotest.test_case "scoped cost bounded" `Quick test_scoped_cost_no_larger;
         ] );
+      ("keys", [ Alcotest.test_case "term keys round-trip" `Quick test_term_keys_round_trip ]);
     ]

@@ -1,5 +1,5 @@
-(* Tests for the Glimpse-style block index and the verification search
-   layer. *)
+(* Tests for the content index (doc-granular postings with the Glimpse
+   block view) and the verification search layer. *)
 
 module Index = Hac_index.Index
 module Search = Hac_index.Search
@@ -78,21 +78,18 @@ let test_candidates_block1 () =
   check_list "absent" [] (Fileset.elements (Index.candidate_docs idx "zebra"))
 
 let test_candidates_coarse_blocks () =
-  (* The CAS path answers doc-granular candidates even with coarse blocks... *)
-  let idx = make_index ~block_size:4 () in
-  check_list "cas precise" (ids idx [ "/a.txt"; "/c.txt" ])
-    (Fileset.elements (Index.candidate_docs idx "quick"));
-  (* ...while the Glimpse fallback returns the whole live block — the
-     classic space/precision trade-off... *)
-  Index.set_use_cas idx false;
-  check_int "coarse superset" 4 (Fileset.cardinal (Index.candidate_docs idx "quick"));
-  (* ...and verification restores precision on either path. *)
-  let verified = Search.search_word idx (reader_of docs) "quick" in
-  check_list "verified" (ids idx [ "/a.txt"; "/c.txt" ]) (Fileset.elements verified);
-  Index.set_use_cas idx true;
-  let verified_cas = Search.search_word idx (reader_of docs) "quick" in
-  check_list "verified via cas" (ids idx [ "/a.txt"; "/c.txt" ])
-    (Fileset.elements verified_cas)
+  (* The block view answers the whole live block — the classic
+     space/precision trade-off: strictly wider than the doc-granular set... *)
+  let fine = make_index ~block_size:1 () and coarse = make_index ~block_size:4 () in
+  let precise = Index.candidate_docs fine "quick" in
+  let wide = Index.candidate_docs coarse "quick" in
+  check_list "doc-granular" (ids fine [ "/a.txt"; "/c.txt" ]) (Fileset.elements precise);
+  check_bool "coarse strictly wider" true
+    (Fileset.subset precise wide && Fileset.cardinal wide > Fileset.cardinal precise);
+  check_int "whole block" 4 (Fileset.cardinal wide);
+  (* ...and verification restores precision. *)
+  let verified = Search.search_word coarse (reader_of docs) "quick" in
+  check_list "verified" (ids coarse [ "/a.txt"; "/c.txt" ]) (Fileset.elements verified)
 
 let test_candidates_exclude_dead () =
   let idx = make_index ~block_size:4 () in
@@ -155,23 +152,39 @@ let test_doc_ids_under () =
   Alcotest.(check (list string)) "moved in" [ "/b/three.txt"; "/b/two.txt" ]
     (List.sort compare (under "/b"))
 
+(* A rebuild that cannot read a document drops it everywhere: the
+   directory table must not keep the dead id, or "/" would outgrow the
+   universe. *)
+let test_rebuild_drops_unreadable () =
+  let idx = Index.create () in
+  List.iter
+    (fun p -> ignore (Index.add_document idx ~path:p ~content:"words here"))
+    [ "/a/one.txt"; "/a/two.txt"; "/b/three.txt" ];
+  let dropped = Option.get (Index.doc_of_path idx "/a/two.txt") in
+  Index.rebuild idx (fun id -> if id = dropped then None else Some "words here");
+  check_list "universe" [ 0; 2 ] (Fileset.elements (Index.universe idx));
+  check_list "root equals universe" (Fileset.elements (Index.universe idx))
+    (Fileset.elements (Index.doc_ids_under idx "/"));
+  check_bool "gone from its directory" false
+    (Fileset.mem (Index.doc_ids_under idx "/a") dropped)
+
 (* The incremental table must always agree with a direct scan. *)
 let prop_doc_ids_under_matches_scan =
-  let dirs = [| "/x"; "/x/a"; "/x/b"; "/y" |] in
+  let dirs = [| "/"; "/x"; "/x/a"; "/x/b"; "/y" |] in
+  let file =
+    QCheck.Gen.(
+      map2 (fun d i -> Printf.sprintf "%s/f%d.txt" dirs.(d) i) (int_range 1 4) (int_bound 9))
+  in
   let gen_ops =
     QCheck.Gen.(
       list_size (int_range 1 30)
         (oneof
            [
-             map2 (fun d i -> `Add (Printf.sprintf "%s/f%d.txt" dirs.(d) i)) (int_bound 3) (int_bound 9);
-             map2 (fun d i -> `Remove (Printf.sprintf "%s/f%d.txt" dirs.(d) i)) (int_bound 3) (int_bound 9);
-             map2
-               (fun (d1, i1) (d2, i2) ->
-                 `Rename
-                   ( Printf.sprintf "%s/f%d.txt" dirs.(d1) i1,
-                     Printf.sprintf "%s/f%d.txt" dirs.(d2) i2 ))
-               (pair (int_bound 3) (int_bound 9))
-               (pair (int_bound 3) (int_bound 9));
+             map (fun p -> `Add p) file;
+             map (fun p -> `Remove p) file;
+             map2 (fun a b -> `Rename (a, b)) file file;
+             (* A rebuild whose reader cannot supply this file. *)
+             map (fun p -> `Rebuild_without p) file;
            ]))
   in
   QCheck.Test.make ~name:"doc_ids_under agrees with a path scan" ~count:300
@@ -182,7 +195,10 @@ let prop_doc_ids_under_matches_scan =
         (function
           | `Add p -> ignore (Index.add_document idx ~path:p ~content:"w")
           | `Remove p -> Index.remove_path idx p
-          | `Rename (a, b) -> Index.rename_path idx ~old_path:a ~new_path:b)
+          | `Rename (a, b) -> Index.rename_path idx ~old_path:a ~new_path:b
+          | `Rebuild_without p ->
+              Index.rebuild idx (fun id ->
+                  if Index.doc_path idx id = Some p then None else Some "w"))
         ops;
       List.for_all
         (fun dir ->
@@ -249,7 +265,8 @@ let test_reader_failure_filters () =
 (* -- properties ----------------------------------------------------------------------- *)
 
 (* Verified search must be invariant under block size: block granularity is
-   a performance knob, not a semantics knob. *)
+   a performance knob, not a semantics knob.  The coarse view may only widen
+   candidates, never drop one. *)
 let prop_block_size_invariant =
   let doc_gen =
     QCheck.Gen.(
@@ -274,7 +291,8 @@ let prop_block_size_invariant =
       let r = reader_of paths in
       List.for_all
         (fun w ->
-          Fileset.equal (Search.search_word i1 r w) (Search.search_word i3 r w))
+          Fileset.subset (Index.candidate_docs i1 w) (Index.candidate_docs i3 w)
+          && Fileset.equal (Search.search_word i1 r w) (Search.search_word i3 r w))
         [ "aa"; "ab"; "ba"; "cc"; "abc" ])
 
 let () =
@@ -299,7 +317,10 @@ let () =
           Alcotest.test_case "rebuild reclaims stale bits" `Quick test_rebuild_reclaims;
         ] );
       ( "directories",
-        [ Alcotest.test_case "doc_ids_under" `Quick test_doc_ids_under ] );
+        [
+          Alcotest.test_case "doc_ids_under" `Quick test_doc_ids_under;
+          Alcotest.test_case "rebuild drops unreadable" `Quick test_rebuild_drops_unreadable;
+        ] );
       ( "search",
         [
           Alcotest.test_case "word" `Quick test_search_word;
