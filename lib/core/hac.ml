@@ -126,12 +126,12 @@ let record_link_removal (ctx : Ctx.t) sd path =
         | Link.Local p -> (
             match Index.doc_of_path ctx.index p with
             | Some id ->
-                sd.Semdir.transient_local <-
-                  Hac_bitset.Fileset.remove sd.Semdir.transient_local id
+                Semdir.set_transient_local sd
+                  (Hac_bitset.Fileset.remove sd.Semdir.transient_local id)
             | None -> ())
         | Link.Remote _ ->
-            sd.Semdir.transient_remote <-
-              List.filter (fun r -> r.Semdir.rr_uri <> key) sd.Semdir.transient_remote
+            Semdir.set_transient_remote sd
+              (List.filter (fun r -> r.Semdir.rr_uri <> key) sd.Semdir.transient_remote)
       end
   | None -> ()
 
@@ -576,7 +576,7 @@ let install_semdir (ctx : Ctx.t) uid query =
     match Hashtbl.find_opt ctx.skeletons uid with
     | Some sk ->
         Hashtbl.remove ctx.skeletons uid;
-        sk.Semdir.query <- query;
+        Semdir.set_query sk query;
         sk
     | None -> Semdir.create ~uid query
   in
@@ -632,11 +632,11 @@ let schquery (ctx : Ctx.t) path query_string =
   | None -> ignore (install_semdir ctx uid query)
   | Some sd ->
       let old_query = sd.Semdir.query in
-      sd.Semdir.query <- query;
+      Semdir.set_query sd query;
       (match Sync.recompute_deps ctx sd with
       | Ok () -> ()
       | Error cycle ->
-          sd.Semdir.query <- old_query;
+          Semdir.set_query sd old_query;
           fail "query would create a dependency cycle through uids %s"
             (String.concat " -> " (List.map string_of_int cycle)));
       Sync.sync_from ctx uid
@@ -652,14 +652,16 @@ let squery_ast (ctx : Ctx.t) path =
 
 let is_semantic (ctx : Ctx.t) path = Ctx.semdir_of_path ctx path <> None
 
-let semantic_dirs (ctx : Ctx.t) =
+let semdir_stamps (ctx : Ctx.t) =
   Hashtbl.fold
-    (fun uid _ acc ->
+    (fun uid sd acc ->
       match Uidmap.path_of_uid ctx.uids uid with
-      | Some p -> p :: acc
+      | Some p -> (p, sd.Semdir.stamp) :: acc
       | None -> acc)
     ctx.semdirs []
   |> List.sort compare
+
+let semantic_dirs (ctx : Ctx.t) = List.map fst (semdir_stamps ctx)
 
 let ssync ?domains (ctx : Ctx.t) path =
   let uid = uid_of_dir ctx path in
@@ -774,7 +776,7 @@ let restore_semdir (ctx : Ctx.t) path ~query ~permanent ~prohibited =
     match Hashtbl.find_opt ctx.skeletons uid with
     | Some sk ->
         Hashtbl.remove ctx.skeletons uid;
-        sk.Semdir.query <- q;
+        Semdir.set_query sk q;
         sk
     | None -> Semdir.create ~uid q
   in
@@ -793,17 +795,16 @@ let restore_semdir (ctx : Ctx.t) path ~query ~permanent ~prohibited =
           | Link.Local p -> (
               match Index.doc_of_path ctx.index p with
               | Some id ->
-                  sd.Semdir.transient_local <-
-                    Fileset.add sd.Semdir.transient_local id
+                  Semdir.set_transient_local sd (Fileset.add sd.Semdir.transient_local id)
               | None -> ())
           | Link.Remote { ns_id; uri } ->
-              sd.Semdir.transient_remote <-
-                sd.Semdir.transient_remote
-                @ [ { Semdir.rr_ns = ns_id; rr_uri = uri; rr_name = name; rr_stale = false } ]
+              Semdir.set_transient_remote sd
+                (sd.Semdir.transient_remote
+                @ [ { Semdir.rr_ns = ns_id; rr_uri = uri; rr_name = name; rr_stale = false } ])
         end
       end)
     (Fs.readdir ctx.fs path);
-  sd.Semdir.materialized <- !adopted > 0;
+  Semdir.set_materialized sd (!adopted > 0);
   Hashtbl.replace ctx.semdirs uid sd;
   match Sync.recompute_deps ctx sd with
   | Ok () -> Sync.sync_from ctx uid

@@ -144,6 +144,11 @@ val is_semantic : t -> string -> bool
 val semantic_dirs : t -> string list
 (** Paths of every semantic directory, sorted. *)
 
+val semdir_stamps : t -> (string * int) list
+(** Every semantic directory's path and change stamp ({!Semdir.t.stamp}),
+    sorted by path.  A view built from a directory is current while its
+    stamp is unchanged. *)
+
 val settle : ?durability:[ `Always | `Batch ] -> ?domains:int -> t -> unit
 (** Settle everything now: data consistency (reindex the dirty paths), then
     scope consistency (incremental, falling back to a full pass after

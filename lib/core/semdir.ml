@@ -15,7 +15,16 @@ type t = {
   prohibited : (string, unit) Hashtbl.t;
   mutable last_synced : int;
   mutable meta_dirty : bool;
+  mutable stamp : int;
 }
+
+(* One counter for the whole process: a directory removed and recreated at
+   the same path never reuses a stamp a reader may have recorded. *)
+let stamps = Atomic.make 0
+
+let next_stamp () = Atomic.fetch_and_add stamps 1 + 1
+
+let bump sd = sd.stamp <- next_stamp ()
 
 let create ~uid query =
   {
@@ -28,7 +37,26 @@ let create ~uid query =
     prohibited = Hashtbl.create 8;
     last_synced = 0;
     meta_dirty = true;
+    stamp = next_stamp ();
   }
+
+let set_query sd q = sd.query <- q
+
+let set_transient_local sd s =
+  sd.transient_local <- s;
+  bump sd
+
+let set_transient_remote sd rs =
+  sd.transient_remote <- rs;
+  bump sd
+
+let set_materialized sd b =
+  sd.materialized <- b;
+  bump sd
+
+let mark_synced sd stamp = sd.last_synced <- stamp
+
+let mark_persisted sd = sd.meta_dirty <- false
 
 let find_link sd name = Hashtbl.find_opt sd.links name
 
@@ -43,7 +71,8 @@ let link_by_target sd target =
 
 let add_link sd l =
   Hashtbl.replace sd.links l.Link.name l;
-  sd.meta_dirty <- true
+  sd.meta_dirty <- true;
+  bump sd
 
 let remove_link sd name =
   match Hashtbl.find_opt sd.links name with
@@ -51,6 +80,7 @@ let remove_link sd name =
   | Some l ->
       Hashtbl.remove sd.links name;
       sd.meta_dirty <- true;
+      bump sd;
       Some l
 
 let sorted_links ls = List.sort (fun a b -> compare a.Link.name b.Link.name) ls

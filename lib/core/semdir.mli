@@ -5,7 +5,8 @@
     of each present symbolic link, and the set of prohibited target keys.
     The physical symlinks live in the VFS; this structure is HAC's view of
     them.  All mutators here are local bookkeeping — enforcing the scope
-    invariant is {!Sync}'s job. *)
+    invariant is {!Sync}'s job.  The record is private: every write goes
+    through a function below, so none can skip moving the [stamp]. *)
 
 type remote_result = {
   rr_ns : string;  (** Namespace the entry came from. *)
@@ -18,7 +19,7 @@ type remote_result = {
 }
 (** One remote entry in the current query result. *)
 
-type t = {
+type t = private {
   uid : int;  (** The directory's identifier in the global map. *)
   mutable query : Hac_query.Ast.t;  (** Dirrefs are installed ([Ref_uid]). *)
   links : (string, Link.t) Hashtbl.t;
@@ -40,10 +41,37 @@ type t = {
           lets {!Sync} skip the metadata write for untouched directories
           without ever losing recovery state.  Set by every mutator here;
           cleared by {!Sync} after persisting. *)
+  mutable stamp : int;
+      (** Change stamp: moves whenever what the directory serves can change
+          — a link added or removed, a new local or remote result (stale
+          flags included), materialisation.  Drawn from one process-wide
+          counter, so it never repeats, even for a directory recreated at
+          the same path.  A reader that recorded the stamp with a view of
+          the directory knows the view is current while the stamp is
+          unchanged. *)
 }
 
 val create : uid:int -> Hac_query.Ast.t -> t
 (** Fresh semantic directory state with no links and no prohibitions. *)
+
+val set_query : t -> Hac_query.Ast.t -> unit
+(** Replace the query.  The stamp stays: a new query changes what the
+    directory serves only through the re-evaluation that follows. *)
+
+val set_transient_local : t -> Hac_bitset.Fileset.t -> unit
+(** Replace the local result; moves the stamp. *)
+
+val set_transient_remote : t -> remote_result list -> unit
+(** Replace the remote result; moves the stamp. *)
+
+val set_materialized : t -> bool -> unit
+(** Record whether the result is expanded into links; moves the stamp. *)
+
+val mark_synced : t -> int -> unit
+(** Record the logical stamp of the latest re-evaluation. *)
+
+val mark_persisted : t -> unit
+(** Clear [meta_dirty] once the metadata is written. *)
 
 val find_link : t -> string -> Link.t option
 (** Present link by name. *)
@@ -52,10 +80,12 @@ val link_by_target : t -> Link.target -> Link.t option
 (** Present link by target key, if any. *)
 
 val add_link : t -> Link.t -> unit
-(** Record a present link (replaces any record under the same name). *)
+(** Record a present link (replaces any record under the same name); moves
+    the stamp. *)
 
 val remove_link : t -> string -> Link.t option
-(** Forget a present link by name; returns what was removed. *)
+(** Forget a present link by name; returns what was removed.  Moves the
+    stamp when a link was removed. *)
 
 val links_of_cls : t -> Link.cls -> Link.t list
 (** Present links of one class, sorted by name. *)

@@ -529,7 +529,7 @@ let materialize (ctx : Ctx.t) (sd : Semdir.t) =
                   ~target:(Link.Remote { ns_id = r.Semdir.rr_ns; uri = r.Semdir.rr_uri })
                   ~name_hint:(Some r.Semdir.rr_name))
               sd.Semdir.transient_remote);
-        sd.Semdir.materialized <- true
+        Semdir.set_materialized sd true
   end
 
 let exclusion_filter (ctx : Ctx.t) (sd : Semdir.t) ~path set =
@@ -683,8 +683,10 @@ let resync_dir_in ?known_local pass (ctx : Ctx.t) uid =
       in
       Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
       if changed then Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
-      sd.Semdir.transient_local <- new_local;
-      sd.Semdir.transient_remote <- new_remote;
+      if changed then begin
+        Semdir.set_transient_local sd new_local;
+        Semdir.set_transient_remote sd new_remote
+      end;
       (* 4. A directory whose links are already expanded must stay
             physically consistent: diff and patch its transient symlinks. *)
       if sd.Semdir.materialized then begin
@@ -727,13 +729,13 @@ let resync_dir_in ?known_local pass (ctx : Ctx.t) uid =
         new_local;
       let first_sync = sd.Semdir.last_synced = 0 in
       ctx.sync_stamp <- ctx.sync_stamp + 1;
-      sd.Semdir.last_synced <- ctx.sync_stamp;
+      Semdir.mark_synced sd ctx.sync_stamp;
       (* The paper persists after every re-evaluation; nothing is lost by
          skipping the write when neither the result nor the link/prohibition
          metadata moved since the last one. *)
       if changed || sd.Semdir.meta_dirty || first_sync then begin
         persist_semdir ctx sd;
-        sd.Semdir.meta_dirty <- false
+        Semdir.mark_persisted sd
       end;
       changed
 
@@ -1018,7 +1020,7 @@ let resync_dir_delta ?known_adds pass (ctx : Ctx.t) ~touched ~removed uid =
         let changed = not (Fileset.equal new_local old_local) in
         if changed then Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
         if changed then begin
-          sd.Semdir.transient_local <- new_local;
+          Semdir.set_transient_local sd new_local;
           if sd.Semdir.materialized then
             Ctx.with_maintenance ctx (fun () ->
                 (* Drop transient links whose target left the result or the
@@ -1054,10 +1056,10 @@ let resync_dir_delta ?known_adds pass (ctx : Ctx.t) ~touched ~removed uid =
           Hashtbl.remove pass.scopes uid
         end;
         ctx.sync_stamp <- ctx.sync_stamp + 1;
-        sd.Semdir.last_synced <- ctx.sync_stamp;
+        Semdir.mark_synced sd ctx.sync_stamp;
         if changed || sd.Semdir.meta_dirty then begin
           persist_semdir ctx sd;
-          sd.Semdir.meta_dirty <- false
+          Semdir.mark_persisted sd
         end
       end
 

@@ -38,9 +38,25 @@ let default_objectives =
 
 type alert = { a_op : string; at : float; fast_burn : float; slow_burn : float }
 
+(* One window's observations, grouped by timestamp: a read wave or a batch
+   of acks resolves at one virtual instant, so it lands in one bucket.
+   Buckets sit oldest first in the FIFO; [total]/[bad] are the running
+   counts over every bucket still queued, so reading the window is O(1)
+   and expiring it pops from the old end — O(1) amortised per bucket. *)
+type bucket = { b_at : float; mutable b_total : int; mutable b_bad : int }
+
+type window = {
+  span_s : float;
+  buckets : bucket Queue.t;
+  mutable newest : bucket option;  (** The last bucket pushed, while queued. *)
+  mutable total : int;
+  mutable bad : int;
+}
+
 type tracked = {
   obj : objective;
-  mutable events : (float * bool) list; (* (at, bad), newest first *)
+  fast : window;
+  slow : window;
   mutable active : bool;
   g_fast : Metrics.gauge option;
   g_slow : Metrics.gauge option;
@@ -56,12 +72,15 @@ type t = {
   on_alert : (alert -> unit) option;
 }
 
+let window span_s = { span_s; buckets = Queue.create (); newest = None; total = 0; bad = 0 }
+
 let create ?(config = default_config) ?metrics ?on_alert ~now objectives =
   let track obj =
     let inst make name = Option.map (fun m -> make m name) metrics in
     {
       obj;
-      events = [];
+      fast = window config.fast_window_s;
+      slow = window config.slow_window_s;
       active = false;
       g_fast = inst Metrics.gauge (Printf.sprintf "slo.%s.burn_fast" obj.op);
       g_slow = inst Metrics.gauge (Printf.sprintf "slo.%s.burn_slow" obj.op);
@@ -73,53 +92,66 @@ let create ?(config = default_config) ?metrics ?on_alert ~now objectives =
   { config; now; tracked = List.map track objectives; on_alert }
 
 let objectives t = List.map (fun tr -> tr.obj) t.tracked
-let objective t op = List.find_opt (fun o -> o.op = op) (objectives t)
 
-let prune t tr =
-  let horizon = t.now () -. t.config.slow_window_s in
-  (* Newest first: keep the prefix that is still inside the slow window. *)
-  let rec keep = function
-    | (at, b) :: tl when at >= horizon -> (at, b) :: keep tl
-    | _ -> []
-  in
-  tr.events <- keep tr.events
+let rec find op = function
+  | [] -> None
+  | tr :: rest -> if tr.obj.op = op then Some tr else find op rest
 
-let observe t ~op ~latency_s ~ok =
-  match List.find_opt (fun tr -> tr.obj.op = op) t.tracked with
-  | None -> ()
+(* An observation counts while [at >= now - span]: pop older buckets. *)
+let expire w ~now =
+  let horizon = now -. w.span_s in
+  while (not (Queue.is_empty w.buckets)) && (Queue.peek w.buckets).b_at < horizon do
+    let b = Queue.pop w.buckets in
+    w.total <- w.total - b.b_total;
+    w.bad <- w.bad - b.b_bad
+  done;
+  if Queue.is_empty w.buckets then w.newest <- None
+
+let add w ~now ~bad =
+  (match w.newest with
+  | Some b when b.b_at = now ->
+      b.b_total <- b.b_total + 1;
+      if bad then b.b_bad <- b.b_bad + 1
+  | Some _ | None ->
+      let b = { b_at = now; b_total = 1; b_bad = (if bad then 1 else 0) } in
+      Queue.push b w.buckets;
+      w.newest <- Some b);
+  w.total <- w.total + 1;
+  if bad then w.bad <- w.bad + 1;
+  expire w ~now
+
+let record t ~op ~latency_s ~ok =
+  match find op t.tracked with
+  | None -> not ok
   | Some tr ->
       let bad = (not ok) || latency_s > tr.obj.latency_s in
-      tr.events <- (t.now (), bad) :: tr.events;
+      let now = t.now () in
+      add tr.fast ~now ~bad;
+      add tr.slow ~now ~bad;
       if bad then Option.iter (fun c -> Metrics.incr c) tr.c_bad;
-      prune t tr
+      bad
 
-let burn_over t tr window =
-  let horizon = t.now () -. window in
-  let total = ref 0 and bad = ref 0 in
-  List.iter
-    (fun (at, b) ->
-      if at >= horizon then (
-        incr total;
-        if b then incr bad))
-    tr.events;
-  if !total = 0 then 0.0
+let observe t ~op ~latency_s ~ok = ignore (record t ~op ~latency_s ~ok)
+
+let burn_of tr w ~now =
+  expire w ~now;
+  if w.total = 0 then 0.0
   else
     let budget = 1.0 -. tr.obj.goal in
-    if budget <= 0.0 then if !bad > 0 then infinity else 0.0
-    else float_of_int !bad /. float_of_int !total /. budget
+    if budget <= 0.0 then if w.bad > 0 then infinity else 0.0
+    else float_of_int w.bad /. float_of_int w.total /. budget
 
-let burn t ~op =
-  List.find_opt (fun tr -> tr.obj.op = op) t.tracked
-  |> Option.map (fun tr ->
-         (burn_over t tr t.config.fast_window_s, burn_over t tr t.config.slow_window_s))
+let burns t tr =
+  let now = t.now () in
+  (burn_of tr tr.fast ~now, burn_of tr tr.slow ~now)
+
+let burn t ~op = Option.map (burns t) (find op t.tracked)
 
 let evaluate t =
   let fired = ref [] in
   List.iter
     (fun tr ->
-      prune t tr;
-      let fast = burn_over t tr t.config.fast_window_s in
-      let slow = burn_over t tr t.config.slow_window_s in
+      let fast, slow = burns t tr in
       let breached = fast >= t.config.burn_threshold && slow >= t.config.burn_threshold in
       Option.iter (fun g -> Metrics.set g fast) tr.g_fast;
       Option.iter (fun g -> Metrics.set g slow) tr.g_slow;
@@ -138,9 +170,6 @@ let breached t = List.exists (fun tr -> tr.active) t.tracked
 let breached_ops t =
   List.filter_map (fun tr -> if tr.active then Some tr.obj.op else None) t.tracked
 
-let meets t ~op ~latency_s =
-  match objective t op with None -> true | Some o -> latency_s <= o.latency_s
-
 let describe_alert a =
   Printf.sprintf "op=%s fast-burn=%.2f slow-burn=%.2f" a.a_op a.fast_burn a.slow_burn
 
@@ -151,8 +180,7 @@ let render t =
        t.config.fast_window_s t.config.slow_window_s t.config.burn_threshold);
   List.iter
     (fun tr ->
-      let fast = burn_over t tr t.config.fast_window_s in
-      let slow = burn_over t tr t.config.slow_window_s in
+      let fast, slow = burns t tr in
       Buffer.add_string b
         (Printf.sprintf "%-8s target=%.2fs goal=%.2f  burn fast=%.2f slow=%.2f  %s\n"
            tr.obj.op tr.obj.latency_s tr.obj.goal fast slow

@@ -34,16 +34,23 @@ val create :
     [.breached] gauges and [slo.<op>.alerts]/[.bad] counters. *)
 
 val objectives : t -> objective list
-val objective : t -> string -> objective option
+
+val record : t -> op:string -> latency_s:float -> ok:bool -> bool
+(** Classify one resolved request and count it in both windows; returns
+    whether it was bad: it failed or exceeded the objective's latency
+    target.  An unknown op is not counted and is bad only when it
+    failed.  Observations sharing a timestamp share one bucket, so a
+    window's memory is bounded by its distinct timestamps and the call
+    costs O(1) amortised. *)
 
 val observe : t -> op:string -> latency_s:float -> ok:bool -> unit
-(** Classify one resolved request: bad when it failed or exceeded the
-    objective's latency target.  Unknown ops are ignored. *)
+(** [record] without the verdict. *)
 
 val evaluate : t -> alert list
-(** Recompute both windows for every objective, update the gauges, and
+(** Expire both windows of every objective, update the gauges, and
     return the alerts that fired on this evaluation (rising edge only).
-    An alert fires when the burn rate is [>= burn_threshold] on both
+    An observation counts in a window while [at >= now - window].  An
+    alert fires when the burn rate is [>= burn_threshold] on both
     windows, and clears when either window drops below it. *)
 
 val breached : t -> bool
@@ -53,9 +60,6 @@ val breached_ops : t -> string list
 
 val burn : t -> op:string -> (float * float) option
 (** Current (fast, slow) burn rates for an op. *)
-
-val meets : t -> op:string -> latency_s:float -> bool
-(** Whether a single latency meets the op's target (true if no objective). *)
 
 val describe_alert : alert -> string
 val render : t -> string

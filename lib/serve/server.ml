@@ -86,6 +86,7 @@ type instruments = {
   c_acked : Metrics.counter;
   c_nacked : Metrics.counter;
   c_stale : Metrics.counter;
+  c_semdirs_rebuilt : Metrics.counter;
   g_queue : Metrics.gauge;
   g_degraded : Metrics.gauge;
   h_batch : Metrics.histogram;
@@ -105,6 +106,8 @@ type t = {
   mutable queued_cost_s : float;  (** Estimated cost of the queue. *)
   mutable unacked : Msg.ticket list;  (** Committed, awaiting durability (reversed). *)
   mutable snap : Snapshot.t;
+  mutable unpublished : string list;
+      (** Paths committed writes touched since the last publication. *)
   mutable commits : Msg.write list;  (** Commit log, reversed. *)
   mutable committed_n : int;
   mutable degraded : bool;
@@ -144,6 +147,7 @@ let make_instruments reg =
     c_acked = Metrics.counter reg "serve.acked";
     c_nacked = Metrics.counter reg "serve.nacked";
     c_stale = Metrics.counter reg "serve.stale_reads";
+    c_semdirs_rebuilt = Metrics.counter reg "serve.snapshot.semdirs_rebuilt";
     g_queue = Metrics.gauge reg "serve.queue_depth";
     g_degraded = Metrics.gauge reg "serve.degraded";
     h_batch = Metrics.histogram reg "serve.batch_size";
@@ -175,6 +179,7 @@ let create ?(config = default_config) hac =
     queued_cost_s = 0.0;
     unacked = [];
     snap;
+    unpublished = [];
     commits = [];
     committed_n = 0;
     degraded = false;
@@ -232,8 +237,7 @@ let resolve t (ticket : Msg.ticket) outcome =
          bad → burn → degraded → shed). *)
       let op_class = Msg.op_class ticket.op in
       let ok = match reply with Msg.Nack _ -> false | _ -> true in
-      Slo.observe t.slo ~op:op_class ~latency_s ~ok;
-      if not (ok && Slo.meets t.slo ~op:op_class ~latency_s) then
+      if Slo.record t.slo ~op:op_class ~latency_s ~ok then
         session.over_slo <- session.over_slo + 1;
       t.s <- { t.s with completed = t.s.completed + 1 };
       if stale then begin
@@ -395,22 +399,26 @@ let serve_reads t tickets =
     in
     (* Pure lookups against one immutable snapshot: any domain may run
        them; replies come back in order.  The pool must not touch metrics,
-       the tracer or the clock — it only reports per-element CPU durations
-       ([map_timed]); spans, metrics and virtual time are all charged
-       here, on the caller. *)
+       the tracer or the clock — traced, it only reports per-element CPU
+       durations ([map_timed]); spans, metrics and virtual time are all
+       charged here, on the caller.  Untraced, nothing reads a clock. *)
     let tr = Hac.tracer t.hac in
+    let traced = Trace.enabled tr in
     Trace.with_span tr ~name:"serve.read_wave" (fun () ->
         let vstart = Clock.now t.clock in
+        let read = Snapshot.read snap in
         let replies, cpu =
-          match t.pool with
-          | Some pool -> Pool.map_timed pool (Snapshot.read snap) reads
-          | None ->
+          match (t.pool, traced) with
+          | Some pool, true -> Pool.map_timed pool read reads
+          | Some pool, false -> (Pool.map pool read reads, [||])
+          | None, false -> (Array.map read reads, [||])
+          | None, true ->
               let times = Array.make n 0.0 in
               let rs =
                 Array.mapi
                   (fun k r ->
                     let c0 = Sys.time () in
-                    let v = Snapshot.read snap r in
+                    let v = read r in
                     times.(k) <- Sys.time () -. c0;
                     v)
                   reads
@@ -424,7 +432,7 @@ let serve_reads t tickets =
         (* Cross-domain parent linking: each read's span carries the CPU
            time measured on whichever domain ran it, parent-linked to this
            wave's span and tagged with the request's trace id. *)
-        if Trace.enabled tr then begin
+        if traced then begin
           let parent = Trace.current tr in
           Array.iteri
             (fun k (tk : Msg.ticket) ->
@@ -461,6 +469,7 @@ let apply_writes t tickets =
           Ctx.record_until tk.trace "eval" (Clock.now t.clock);
           t.commits <- w :: t.commits;
           t.committed_n <- t.committed_n + 1;
+          t.unpublished <- touched_path w :: t.unpublished;
           Metrics.incr t.i.c_commits;
           t.s <- { t.s with commits = t.s.commits + 1 };
           t.unacked <- tk :: t.unacked
@@ -510,7 +519,7 @@ let settle_batch t =
    the post-batch snapshot and release every pending ack; on failure hold
    the acks — but resolve any past their deadline as an explicit [Nack]
    ("applied, durability unconfirmed"), never leave them hanging. *)
-let confirm t ~touched =
+let confirm t =
   let fs = Hac.fs t.hac in
   let attempts = ref 0 in
   while (not (durable t)) && !attempts < t.config.fsync_retries do
@@ -521,9 +530,14 @@ let confirm t ~touched =
   if durable t && t.last_settle_error = None then begin
     (* Settled and durable: publish the post-batch view and release every
        pending ack.  A snapshot is only ever published here, so readers
-       always see a fully settled, fully durable prefix. *)
+       always see a fully settled, fully durable prefix.  The refresh
+       covers every path committed since the last publication, including
+       batches whose acks were held. *)
     t.snap <-
-      Snapshot.advance t.snap t.hac ~seq:t.committed_n ~now:(Clock.now t.clock) ~touched;
+      Snapshot.advance t.snap t.hac ~seq:t.committed_n ~now:(Clock.now t.clock)
+        ~touched:t.unpublished;
+    t.unpublished <- [];
+    Metrics.incr ~by:(Snapshot.semdirs_rebuilt t.snap) t.i.c_semdirs_rebuilt;
     (* Building the view lazily materializes transient links — physical
        symlinks recorded on the device after the settle's barrier.  One
        more barrier keeps the frontier covering that maintenance tail. *)
@@ -596,17 +610,9 @@ let pump t =
     let reads, writes = List.partition (fun (tk : Msg.ticket) -> not (Msg.is_write tk.op)) live in
     serve_reads t (Array.of_list reads);
     apply_writes t writes;
-    let touched =
-      List.filter_map
-        (fun (tk : Msg.ticket) ->
-          match tk.op with
-          | Msg.W w when tk.outcome = None -> Some (touched_path w)
-          | _ -> None)
-        writes
-    in
     if writes <> [] || t.unacked <> [] then begin
       settle_batch t;
-      confirm t ~touched
+      confirm t
     end
   end
 

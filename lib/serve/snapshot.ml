@@ -5,8 +5,10 @@
    reader never observes torn scope state: every read against one snapshot
    sees the same committed-write prefix ([seq]).  Publishing a new snapshot
    after a batch reuses the previous maps and refreshes only the touched
-   paths (plus every semantic directory, whose link sets a settle may have
-   rewritten anywhere), so the copy cost tracks the batch, not the tree.
+   paths and the semantic directories whose change stamp moved (a settle
+   may rewrite link sets far from the touched paths, and every such
+   rewrite moves the directory's stamp), so the copy cost tracks the
+   batch, not the tree.
 
    Reads here are pure map lookups: safe to run from any pool domain with
    no locks, no VFS access and no metrics. *)
@@ -23,12 +25,21 @@ type t = {
   files : string SMap.t;
   dirs : string list SMap.t;
   links : Msg.linkrow list SMap.t;
+  stamps : int SMap.t;  (** Each semantic directory's stamp when its rows were built. *)
+  rebuilt : int;  (** Semantic directories rebuilt to publish this view. *)
 }
 
 let seq t = t.seq
 let published_s t = t.published_s
 let file_count t = SMap.cardinal t.files
 let dir_count t = SMap.cardinal t.dirs
+let semdirs_rebuilt t = t.rebuilt
+
+let equal a b =
+  a.seq = b.seq
+  && SMap.equal String.equal a.files b.files
+  && SMap.equal ( = ) a.dirs b.dirs
+  && SMap.equal ( = ) a.links b.links
 
 let meta_root = "/.hac"
 
@@ -70,14 +81,26 @@ let refresh hac path (files, dirs) =
   in
   (files, dirs)
 
-(* The link map is rebuilt from scratch each publication: semantic
-   directories are few next to files, and starting empty drops any that
-   were removed since the previous snapshot. *)
-let refresh_semdirs hac dirs =
-  List.fold_left
-    (fun (dirs, links) sd ->
-      (SMap.add sd (dir_entries hac sd) dirs, SMap.add sd (linkrows hac sd) links))
-    (dirs, SMap.empty) (Hac.semantic_dirs hac)
+(* Rebuild the entries and link rows of each semantic directory that is new,
+   whose stamp moved since [prev] recorded it, or that [force] names; keep
+   the rest, and drop the rows of directories that are gone.  The stamps
+   are read after building, because [Hac.links] can materialise links —
+   only ever the links of a directory being built: every directory kept
+   was materialised when its rows were first built. *)
+let refresh_semdirs hac ~prev ~force (dirs, links) =
+  let current = Hac.semdir_stamps hac in
+  let stale (path, stamp) = force path || SMap.find_opt path prev <> Some stamp in
+  let dirs, links, rebuilt =
+    List.fold_left
+      (fun ((dirs, links, n) as acc) ((path, _) as sd) ->
+        if stale sd then
+          (SMap.add path (dir_entries hac path) dirs, SMap.add path (linkrows hac path) links, n + 1)
+        else acc)
+      (dirs, links, 0) current
+  in
+  let stamps = SMap.of_seq (List.to_seq (Hac.semdir_stamps hac)) in
+  let links = SMap.filter (fun path _ -> SMap.mem path stamps) links in
+  (dirs, links, stamps, rebuilt)
 
 let capture hac ~seq ~now =
   let fs = Hac.fs hac in
@@ -89,25 +112,26 @@ let capture hac ~seq ~now =
         | Hac_vfs.Event.File -> files := SMap.add path (Fs.read_file fs path) !files
         | Hac_vfs.Event.Dir -> dirs := SMap.add path (dir_entries hac path) !dirs
         | Hac_vfs.Event.Link -> ());
-  let dirs, links = refresh_semdirs hac !dirs in
-  { seq; published_s = now; files = !files; dirs; links }
+  let dirs, links, stamps, rebuilt =
+    refresh_semdirs hac ~prev:SMap.empty ~force:(fun _ -> true) (!dirs, SMap.empty)
+  in
+  { seq; published_s = now; files = !files; dirs; links; stamps; rebuilt }
 
 let advance t hac ~seq ~now ~touched =
   (* Refresh the touched paths and their parents (an entry appeared or
-     vanished there), then rebuild every semantic directory's view — a
-     settle may have rewritten link sets far from the touched paths.
-     Everything else is shared structurally with the previous snapshot. *)
-  let parents =
-    List.sort_uniq compare (List.map Filename.dirname touched)
+     vanished there), then rebuild the semantic directories that changed —
+     a settle may have rewritten link sets far from the touched paths, and
+     each such rewrite moved the directory's stamp.  Everything else is
+     shared structurally with the previous snapshot. *)
+  let paths =
+    List.sort_uniq compare
+      (List.concat_map (fun p -> [ Vpath.normalize p; Vpath.normalize (Filename.dirname p) ]) touched)
   in
-  let files, dirs =
-    List.fold_left
-      (fun acc p -> refresh hac (Vpath.normalize p) acc)
-      (t.files, t.dirs)
-      (touched @ parents)
+  let files, dirs = List.fold_left (fun acc p -> refresh hac p acc) (t.files, t.dirs) paths in
+  let dirs, links, stamps, rebuilt =
+    refresh_semdirs hac ~prev:t.stamps ~force:(fun p -> List.mem p paths) (dirs, t.links)
   in
-  let dirs, links = refresh_semdirs hac dirs in
-  { seq; published_s = now; files; dirs; links }
+  { seq; published_s = now; files; dirs; links; stamps; rebuilt }
 
 (* Pure read against the snapshot.  Every failure surfaces as the same
    [Nack "unreadable"] the sequential spec produces, so the checker

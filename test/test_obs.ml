@@ -444,6 +444,148 @@ let test_slo_windows_and_recovery () =
   check_int "re-fired" 1 (List.length (Slo.evaluate slo));
   check_int "alerts counter accumulates" 2 (counter_value m "slo.write.alerts")
 
+(* The monitor against a naive model of its rules: every observation kept
+   in a list forever, each window counting those with [at >= now - window],
+   an alert on the rising edge of [>= threshold] on both windows. *)
+module Slo_model = struct
+  type t = {
+    config : Slo.config;
+    objectives : Slo.objective list;
+    mutable events : (string * float * bool) list;  (** (op, at, bad) *)
+    mutable active : string list;
+  }
+
+  let create config objectives = { config; objectives; events = []; active = [] }
+
+  let record m ~now ~op ~latency_s ~ok =
+    match List.find_opt (fun (o : Slo.objective) -> o.op = op) m.objectives with
+    | None -> not ok
+    | Some o ->
+        let bad = (not ok) || latency_s > o.latency_s in
+        m.events <- (op, now, bad) :: m.events;
+        bad
+
+  let burn_over m ~now (o : Slo.objective) window =
+    let horizon = now -. window in
+    let inside = List.filter (fun (op, at, _) -> op = o.op && at >= horizon) m.events in
+    let total = List.length inside in
+    let bad = List.length (List.filter (fun (_, _, b) -> b) inside) in
+    if total = 0 then 0.0
+    else
+      let budget = 1.0 -. o.goal in
+      if budget <= 0.0 then if bad > 0 then infinity else 0.0
+      else float_of_int bad /. float_of_int total /. budget
+
+  let burn m ~now op =
+    List.find_opt (fun (o : Slo.objective) -> o.op = op) m.objectives
+    |> Option.map (fun o ->
+           (burn_over m ~now o m.config.fast_window_s, burn_over m ~now o m.config.slow_window_s))
+
+  (* The alerts that fire, as (op, fast, slow). *)
+  let evaluate m ~now =
+    List.filter_map
+      (fun (o : Slo.objective) ->
+        let fast = burn_over m ~now o m.config.fast_window_s in
+        let slow = burn_over m ~now o m.config.slow_window_s in
+        let breached = fast >= m.config.burn_threshold && slow >= m.config.burn_threshold in
+        let was = List.mem o.op m.active in
+        m.active <-
+          (if breached then o.op :: List.filter (( <> ) o.op) m.active
+           else List.filter (( <> ) o.op) m.active);
+        if breached && not was then Some (o.op, fast, slow) else None)
+      m.objectives
+end
+
+type slo_op =
+  | Observe of string * float * bool  (** op, latency, ok *)
+  | Advance of float
+  | Evaluate
+  | Burn of string
+
+let slo_objectives =
+  [
+    { Slo.op = "read"; latency_s = 1.0; goal = 0.9 };
+    { Slo.op = "write"; latency_s = 2.0; goal = 0.5 };
+    { Slo.op = "strict"; latency_s = 1.0; goal = 1.0 };
+  ]
+
+let slo_configs =
+  [
+    { Slo.fast_window_s = 30.0; slow_window_s = 120.0; burn_threshold = 1.0 };
+    (* A fast window longer than the slow one. *)
+    { Slo.fast_window_s = 120.0; slow_window_s = 30.0; burn_threshold = 2.0 };
+  ]
+
+let describe_slo_op = function
+  | Observe (op, l, ok) -> Printf.sprintf "observe %s %.2f %b" op l ok
+  | Advance dt -> Printf.sprintf "advance %.2f" dt
+  | Evaluate -> "evaluate"
+  | Burn op -> "burn " ^ op
+
+let arb_slo_run =
+  let open QCheck.Gen in
+  (* "other" has no objective.  Latencies sit below, at and above the
+     targets; advances include 0 and exactly one window length, so
+     observations land on a window's closing edge. *)
+  let op_name = oneofl [ "read"; "write"; "strict"; "other" ] in
+  let gen_op config =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun op l ok -> Observe (op, l, ok))
+            op_name
+            (oneofl [ 0.5; 1.0; 1.5; 2.0; 3.0 ])
+            (frequency [ (4, return true); (1, return false) ]) );
+        ( 3,
+          map
+            (fun dt -> Advance dt)
+            (oneofl
+               [ 0.0; 0.25; 1.0; 7.5; config.Slo.fast_window_s; config.Slo.slow_window_s ]) );
+        (2, return Evaluate);
+        (1, map (fun op -> Burn op) op_name);
+      ]
+  in
+  let gen =
+    int_bound (List.length slo_configs - 1) >>= fun k ->
+    let config = List.nth slo_configs k in
+    list_size (int_range 1 80) (gen_op config) >|= fun ops -> (k, ops)
+  in
+  QCheck.make
+    ~print:(fun (k, ops) ->
+      Printf.sprintf "config %d: %s" k (String.concat "; " (List.map describe_slo_op ops)))
+    gen
+
+let prop_slo_matches_model =
+  QCheck.Test.make ~name:"slo matches the naive list model" ~count:500 arb_slo_run
+    (fun (k, ops) ->
+      let config = List.nth slo_configs k in
+      let clock = Clock.create () in
+      let now () = Clock.now clock in
+      let slo = Slo.create ~config ~now slo_objectives in
+      let model = Slo_model.create config slo_objectives in
+      List.iteri
+        (fun i op ->
+          let fail what = QCheck.Test.fail_reportf "step %d (%s): %s" i (describe_slo_op op) what in
+          match op with
+          | Observe (name, latency_s, ok) ->
+              let bad = Slo.record slo ~op:name ~latency_s ~ok in
+              if bad <> Slo_model.record model ~now:(now ()) ~op:name ~latency_s ~ok then
+                fail "verdict differs"
+          | Advance dt -> Clock.advance clock dt
+          | Evaluate ->
+              let got =
+                List.map (fun (a : Slo.alert) -> (a.a_op, a.fast_burn, a.slow_burn)) (Slo.evaluate slo)
+              in
+              if got <> Slo_model.evaluate model ~now:(now ()) then fail "alerts differ";
+              if List.sort compare (Slo.breached_ops slo) <> List.sort compare model.active then
+                fail "breached ops differ"
+          | Burn name ->
+              if Slo.burn slo ~op:name <> Slo_model.burn model ~now:(now ()) name then
+                fail "burn rates differ")
+        ops;
+      true)
+
 (* -- flight recorder --------------------------------------------------------- *)
 
 let test_flight_ring_roundtrip () =
@@ -646,6 +788,9 @@ let () =
           Alcotest.test_case "below the boundary is quiet" `Quick
             test_slo_below_boundary_does_not_fire;
           Alcotest.test_case "windows and recovery" `Quick test_slo_windows_and_recovery;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            ~rand:(Random.State.make [| 15 |])
+            prop_slo_matches_model;
         ] );
       ( "flight",
         [

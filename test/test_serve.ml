@@ -142,6 +142,18 @@ let remote_facing p =
   let pre q = String.length p >= String.length q && String.sub p 0 (String.length q) = q in
   pre "/rq" || pre "/remote"
 
+(* The publication twin: a snapshot whose prefix covers every committed
+   write must equal a fresh capture of the engine, so an incremental
+   [Snapshot.advance] never serves a view a full rebuild would not. *)
+let assert_snapshot_current server hac =
+  let snap = Server.snapshot server in
+  if Snapshot.seq snap = (Server.stats server).Server.commits then
+    check_bool
+      (Printf.sprintf "published snapshot at seq %d equals a fresh capture" (Snapshot.seq snap))
+      true
+      (Snapshot.equal snap
+         (Snapshot.capture hac ~seq:(Snapshot.seq snap) ~now:(Snapshot.published_s snap)))
+
 (* -- chaos driver ----------------------------------------------------------- *)
 
 type chaos_outcome = {
@@ -170,6 +182,7 @@ let run_chaos ~mount ~seed =
   let ack_durable_violations = ref 0 in
   let pump_and_check () =
     Server.pump server;
+    assert_snapshot_current server rig.hac;
     (* The headline durability invariant, checked at the moment it must
        hold: new acks imply the frontier covered the whole op log. *)
     let acked = (Server.stats server).Server.acked in
@@ -566,6 +579,93 @@ let test_slo_breach_degrades_and_dumps_flight () =
   Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
   Sys.rmdir dir
 
+(* -- stamp-driven publication ------------------------------------------------- *)
+
+let linkset server path =
+  let tk = Server.submit server ~session:"probe" (Msg.R (Msg.Links path)) in
+  Server.pump server;
+  match tk.outcome with
+  | Some (Msg.Replied { reply = Msg.Linkset rows; _ }) -> rows
+  | _ -> Alcotest.failf "links of %s must resolve" path
+
+let write_through server w =
+  let tk = Server.submit server ~session:"w" (Msg.W w) in
+  Server.pump server;
+  match tk.outcome with
+  | Some (Msg.Replied { reply = Msg.Done; _ }) -> ()
+  | _ -> Alcotest.failf "%s must ack" (Msg.describe (Msg.W w))
+
+(* Each batch below changes a semantic directory's links without touching
+   its path: only its change stamp tells the publisher to rebuild it. *)
+let test_untouched_semdir_republished () =
+  let rig = build ~mount:true ~seed () in
+  Hac.smkdir rig.hac "/ws/q-ref" "{/ws/q-alpha}";
+  Hac.settle rig.hac;
+  let server = Server.create rig.hac in
+  let names rows = List.map (fun (r : Msg.linkrow) -> r.Msg.l_name) rows in
+  let ref_before = linkset server "/ws/q-ref" in
+  check_int "the reference mirrors q-alpha" 4 (List.length ref_before);
+  (* An in-scope write elsewhere: a new document joins q-alpha. *)
+  write_through server (Msg.Write ("/ws/fresh-alpha.txt", "markeralpha arrives\n"));
+  assert_snapshot_current server rig.hac;
+  check_bool "q-alpha links the new document" true
+    (List.mem "fresh-alpha.txt" (names (linkset server "/ws/q-alpha")));
+  check_bool "q-ref follows it" true
+    (List.mem "fresh-alpha.txt" (names (linkset server "/ws/q-ref")));
+  (* Unlinking a link inside q-alpha prohibits its target there, and q-ref,
+     whose path nothing touched, loses it too. *)
+  write_through server (Msg.Unlink "/ws/q-alpha/fresh-alpha.txt");
+  assert_snapshot_current server rig.hac;
+  check_bool "q-ref dropped the unlinked target" false
+    (List.mem "fresh-alpha.txt" (names (linkset server "/ws/q-ref")));
+  (* A namespace outage: the next full re-evaluation (forced by unlinking
+     a link in another directory) re-serves /rq's remote rows stale. *)
+  check_bool "remote rows fresh before the outage" true
+    (List.for_all (fun (r : Msg.linkrow) -> not r.Msg.l_stale) (linkset server "/rq"));
+  Fault.set_plans (Option.get rig.inj) [ Fault.Outage ];
+  (match linkset server "/ws/q-beta" with
+  | r :: _ -> write_through server (Msg.Unlink ("/ws/q-beta/" ^ r.Msg.l_name))
+  | [] -> Alcotest.fail "q-beta has links");
+  assert_snapshot_current server rig.hac;
+  let rq = linkset server "/rq" in
+  check_bool "remote rows still served" true (rq <> []);
+  check_bool "remote rows marked stale" true
+    (List.for_all (fun (r : Msg.linkrow) -> r.Msg.l_stale) rq);
+  Fault.clear (Option.get rig.inj);
+  Server.stop server
+
+let rebuilt_count hac =
+  match Hac_obs.Metrics.find (Hac.metrics hac) "serve.snapshot.semdirs_rebuilt" with
+  | Some (Hac_obs.Metrics.Counter_value n) -> n
+  | _ -> Alcotest.fail "serve.snapshot.semdirs_rebuilt missing"
+
+let test_publication_counts_rebuilds () =
+  let fs = Fs.create () in
+  Fs.mkdir_p fs "/docs";
+  Fs.mkdir_p fs "/out";
+  List.iter
+    (fun (name, body) -> Fs.write_file fs ("/docs/" ^ name) body)
+    [ ("a.txt", "alpha one\n"); ("b.txt", "beta two\n"); ("c.txt", "gamma three\n") ];
+  let hac = Hac.of_fs fs in
+  List.iter
+    (fun (p, q) -> Hac.smkdir hac p q)
+    [ ("/docs/qa", "alpha"); ("/docs/qb", "beta"); ("/docs/qc", "gamma") ];
+  Hac.settle hac;
+  let server = Server.create hac in
+  (* Writes outside every scope publish without rebuilding any directory. *)
+  for i = 1 to 4 do
+    write_through server (Msg.Write (Printf.sprintf "/out/o%d.txt" i, "alpha beta gamma\n"))
+  done;
+  check_int "no rebuild for out-of-scope writes" 0 (rebuilt_count hac);
+  (* A write that changes only qa's result rebuilds qa alone. *)
+  for i = 1 to 3 do
+    write_through server (Msg.Write (Printf.sprintf "/docs/n%d.txt" i, "alpha again\n"));
+    check_int (Printf.sprintf "one rebuild per publish (%d)" i) i (rebuilt_count hac)
+  done;
+  check_int "qa links the new documents" 4 (List.length (linkset server "/docs/qa"));
+  assert_snapshot_current server hac;
+  Server.stop server
+
 (* -- deadline-slack accounting regression (satellite) ----------------------- *)
 
 let test_policy_slack_recorded_on_failures () =
@@ -600,6 +700,12 @@ let () =
           Alcotest.test_case "degraded mode" `Quick test_degraded_sheds_writes_serves_reads;
           Alcotest.test_case "slo breach degrades and dumps flight" `Quick
             test_slo_breach_degrades_and_dumps_flight;
+        ] );
+      ( "publication",
+        [
+          Alcotest.test_case "untouched semdir republished" `Quick
+            test_untouched_semdir_republished;
+          Alcotest.test_case "rebuilds counted" `Quick test_publication_counts_rebuilds;
         ] );
       ( "chaos",
         [
