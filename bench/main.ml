@@ -12,6 +12,7 @@ module Vpath = Hac_vfs.Vpath
 module Fileset = Hac_bitset.Fileset
 module Index = Hac_index.Index
 module Search = Hac_index.Search
+module Remote_fs = Hac_remote.Remote_fs
 module Hac = Hac_core.Hac
 module Corpus = Hac_workload.Corpus
 module Andrew = Hac_workload.Andrew
@@ -262,10 +263,11 @@ let table_4 () =
     \  ~15%% overhead; many files -> ~2%% overhead (fixed semantic-directory\n\
     \  creation cost amortises with result size)\n\n";
   let corpus = Corpus.make ~seed:23 () in
-  (* Planted markers are unique words, so stemming adds nothing; without it
-     verification is Glimpse's raw byte scan, as in the original.  A
+  (* Planted markers are unique words, so stemming adds nothing.  A
      document-granular index (block_size 1) isolates the semantic-directory
-     overhead the table is about from block-expansion noise. *)
+     overhead the table is about from block-expansion noise; its postings
+     vouch for every candidate of this freshly indexed corpus, so both arms
+     answer from the postings plus a read-permission check. *)
   let t = Hac.create ~stem:false ~block_size:1 () in
   let files = Corpus.build_tree corpus (Hac.fs t) ~root:"/db" corpus_spec in
   let n = List.length files in
@@ -276,10 +278,9 @@ let table_4 () =
   plant "zqmid" mid;
   plant "zqmany" many;
   ignore (Hac.reindex t ());
-  (* The direct-Glimpse baseline reads files natively, not through HAC. *)
-  let reader p =
-    try Some (Fs.read_file (Hac.fs t) p) with Hac_vfs.Errno.Error _ -> None
-  in
+  (* The direct-Glimpse baseline reads files natively, not through HAC; its
+     index vouches for the same candidates as smkdir's evaluation. *)
+  let reader = Remote_fs.fs_reader (Hac.fs t) in
   let reps = if quick then 5 else 11 in
   let glimpse_time word =
     Gc.major ();
@@ -377,7 +378,7 @@ let ablation_block_size () =
     \  sets, so verified queries slow down.  block_size=1 is a precise\n\
     \  document-level inverted index.\n\n";
   let fs, files = build_corpus_fs () in
-  let reader p = try Some (Fs.read_file fs p) with Hac_vfs.Errno.Error _ -> None in
+  let reader = Remote_fs.fs_reader fs in
   ignore (Corpus.plant fs ~paths:files ~word:"zqmid" ~count:(List.length files * 15 / 100));
   Printf.printf "  %-12s %14s %16s\n" "block_size" "postings (KB)" "query (ms)";
   (* The space a block bitmap per term would take: every term's postings
@@ -499,9 +500,9 @@ let ablation_stemming () =
 let ablation_conjunctions () =
   banner "Ablation: selectivity-ordered conjunctions with restriction pushdown";
   Printf.printf
-    "  'common AND rare': naive evaluation verifies every candidate of both\n\
+    "  'common AND rare': naive evaluation checks every candidate of both\n\
     \  terms; the planner orders the rare term first and the evaluator\n\
-    \  restricts the common term's verification to the survivors.\n\n";
+    \  restricts the common term's checks to the survivors.\n\n";
   let corpus = Corpus.make ~seed:37 () in
   let fs = Fs.create () in
   let files = Corpus.build_tree corpus fs ~root:"/db" corpus_spec in
@@ -512,7 +513,7 @@ let ablation_conjunctions () =
   List.iter
     (fun p -> ignore (Index.add_document idx ~path:p ~content:(Fs.read_file fs p)))
     files;
-  let reader p = try Some (Fs.read_file fs p) with Hac_vfs.Errno.Error _ -> None in
+  let reader = Remote_fs.fs_reader fs in
   let naive () =
     Hac_bitset.Fileset.inter
       (Search.search_word idx reader "zqcommon")
@@ -526,7 +527,7 @@ let ablation_conjunctions () =
      Printf.printf "  WARNING: results differ!\n");
   let t_naive = Timer.median 7 (fun () -> ignore (naive ())) in
   let t_planned = Timer.median 7 (fun () -> ignore (planned ())) in
-  Printf.printf "  naive (verify both fully)     : %8.3f ms\n" (t_naive *. 1000.);
+  Printf.printf "  naive (check both fully)      : %8.3f ms\n" (t_naive *. 1000.);
   Printf.printf "  planned (rare first, pushdown): %8.3f ms  (%.1fx faster)\n"
     (t_planned *. 1000.)
     (t_naive /. t_planned);
@@ -723,8 +724,16 @@ let incremental_settle () =
              (fun l -> l.Hac_core.Link.name)
              (Hac.links t (Printf.sprintf "/s%02d" j))))
   in
+  (* Verification work of one delta settle: deterministic counts, gated by
+     the regression check where timings are not. *)
+  let counter name =
+    match Metrics.find (Hac.metrics t) name with Some (Metrics.Counter_value n) -> n | _ -> 0
+  in
   touch ();
+  let verified0 = counter "search.docs_verified" and trusted0 = counter "search.docs_trusted" in
   ignore (Hac.reindex t ());
+  let verified = counter "search.docs_verified" - verified0
+  and trusted = counter "search.docs_trusted" - trusted0 in
   let after_delta = snapshot () in
   ignore (Hac.reindex_full t ());
   let after_full = snapshot () in
@@ -744,6 +753,8 @@ let incremental_settle () =
   Printf.printf "  %-34s %12.3f\n" "no-change sync_all (cache warm)" (noop_s *. 1000.);
   Printf.printf "\n  speedup: %.1fx   cache: %d hits / %d misses (%.0f%% hit rate)\n" speedup
     hits misses (hit_rate *. 100.);
+  Printf.printf "  delta settle: %d documents verified, %d trusted on their postings\n" verified
+    trusted;
   shape "delta settle reaches the sync_all fixpoint" (after_delta = after_full);
   shape
     (Printf.sprintf "delta settle at least %s full"
@@ -762,6 +773,7 @@ let incremental_settle () =
   Printf.bprintf b "  \"speedup\": %.2f,\n" speedup;
   Printf.bprintf b "  \"noop_sync_all_s\": %.6f,\n" noop_s;
   Printf.bprintf b "  \"fixpoint_match\": %b,\n" (after_delta = after_full);
+  Printf.bprintf b "  \"delta_docs\": { \"verified\": %d, \"trusted\": %d },\n" verified trusted;
   Printf.bprintf b
     "  \"cache\": { \"hits\": %d, \"misses\": %d, \"entries\": %d, \"hit_rate\": %.3f }\n"
     hits misses rc.Hac_core.Rescache.entries hit_rate;
@@ -1042,7 +1054,7 @@ let micro_benchmarks () =
            incr n;
            ignore (Index.add_document idx ~path:(Printf.sprintf "/f%d" !n) ~content:doc)))
   in
-  (* Table 4 micro: one verified word query. *)
+  (* Table 4 micro: one word query over doc-granular postings. *)
   let t4_query =
     let corpus = Corpus.make ~seed:4 () in
     let fs = Fs.create () in
@@ -1052,7 +1064,7 @@ let micro_benchmarks () =
     List.iter
       (fun p -> ignore (Index.add_document idx ~path:p ~content:(Fs.read_file fs p)))
       files;
-    let reader p = try Some (Fs.read_file fs p) with Hac_vfs.Errno.Error _ -> None in
+    let reader = Remote_fs.fs_reader fs in
     Test.make ~name:"table4/verified-query"
       (Staged.stage (fun () -> ignore (Search.search_word idx reader "zq")))
   in
@@ -1333,8 +1345,9 @@ let index_section () =
     \  posting partitions whose path label can intersect the scope (CAS:\n\
     \  the doc-granular index); the baseline is a block_size 8 index over\n\
     \  the same corpus, whose lookups answer the term's whole blocks and\n\
-    \  intersect with the subtree set afterwards.  Both arms verify\n\
-    \  candidates, so answers are identical; the sweep crosses scope\n\
+    \  intersect with the subtree set afterwards.  The block arm verifies\n\
+    \  every candidate; the CAS arm only those its postings cannot vouch\n\
+    \  for.  Answers are identical; the sweep crosses scope\n\
     \  selectivity with term frequency and reports where each wins.  A\n\
     \  cell is the median of batched loops of >= 1 ms on a monotonic\n\
     \  clock.  Writes %s.\n\n"
@@ -1372,7 +1385,7 @@ let index_section () =
       done
     done
   done;
-  let reader path = Hashtbl.find_opt contents path in
+  let reader = { Search.read = Hashtbl.find_opt contents; may_read = Hashtbl.mem contents } in
   let scopes = [ ("/d00/s0", per_leaf); ("/d00", sub * per_leaf); ("/", n_docs) ] in
   let terms = [ ("common", 1); ("decim", 10); ("sparse", rare_stride) ] in
   let reps = if smoke then 7 else 21 in

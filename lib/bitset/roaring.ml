@@ -816,38 +816,41 @@ let subset a b =
 
 (* -- construction ----------------------------------------------------------- *)
 
-(* Streaming constructor for strictly increasing sequences: chunk bitmaps
-   are filled in place and packed when the key advances, so building from a
-   sorted source is one pass with no intermediate set values. *)
+(* Streaming constructor for strictly increasing sequences: a chunk's low
+   halves collect in a sorted buffer and are packed from it when the key
+   advances, so building from a sorted source is one pass with no
+   intermediate set values.  Only a chunk that outgrows a bitmap's size
+   spills into one: a sparse chunk costs no 1041-word scratch bitmap, which
+   would be a large block on the major heap for every set built. *)
 type stream = {
   mutable s_keys : int list; (* reversed *)
   mutable s_cs : container list; (* reversed *)
   mutable s_key : int;
-  mutable s_words : int array;
-  mutable s_dirty : bool;
+  mutable s_vals : int array; (* the current chunk's low halves, increasing *)
+  mutable s_n : int; (* used prefix of [s_vals] *)
+  mutable s_words : int array; (* the current chunk once spilled, else [||] *)
   mutable s_last : int;
 }
 
 let stream () =
-  {
-    s_keys = [];
-    s_cs = [];
-    s_key = -1;
-    s_words = Array.make bmp_words 0;
-    s_dirty = false;
-    s_last = -1;
-  }
+  { s_keys = []; s_cs = []; s_key = -1; s_vals = [||]; s_n = 0; s_words = [||]; s_last = -1 }
+
+let stream_push s c =
+  s.s_keys <- s.s_key :: s.s_keys;
+  s.s_cs <- c :: s.s_cs
 
 let stream_flush s =
-  if s.s_dirty then begin
-    (match pack_words s.s_words with
-    | Some c ->
-        s.s_keys <- s.s_key :: s.s_keys;
-        s.s_cs <- c :: s.s_cs
-    | None -> ());
-    s.s_words <- Array.make bmp_words 0;
-    s.s_dirty <- false
+  if Array.length s.s_words > 0 then begin
+    (match pack_words s.s_words with Some c -> stream_push s c | None -> ());
+    (* A bitmap container keeps the array. *)
+    s.s_words <- [||]
   end
+  else if s.s_n > 0 then begin
+    stream_push s (pack_sorted_array (Array.sub s.s_vals 0 s.s_n));
+    s.s_n <- 0
+  end
+
+let set_bit w v = w.(v / bpw) <- w.(v / bpw) lor (1 lsl (v mod bpw))
 
 let stream_add s v =
   if v < 0 then invalid_arg "Roaring: negative element";
@@ -859,8 +862,25 @@ let stream_add s v =
     s.s_key <- k
   end;
   let low = v land low_mask in
-  s.s_words.(low / bpw) <- s.s_words.(low / bpw) lor (1 lsl (low mod bpw));
-  s.s_dirty <- true
+  if Array.length s.s_words > 0 then set_bit s.s_words low
+  else if s.s_n < bmp_words then begin
+    if s.s_n = Array.length s.s_vals then begin
+      let vals = Array.make (min bmp_words (max 8 (2 * s.s_n))) 0 in
+      Array.blit s.s_vals 0 vals 0 s.s_n;
+      s.s_vals <- vals
+    end;
+    s.s_vals.(s.s_n) <- low;
+    s.s_n <- s.s_n + 1
+  end
+  else begin
+    let w = Array.make bmp_words 0 in
+    for i = 0 to s.s_n - 1 do
+      set_bit w s.s_vals.(i)
+    done;
+    set_bit w low;
+    s.s_words <- w;
+    s.s_n <- 0
+  end
 
 let stream_finish s =
   stream_flush s;

@@ -75,9 +75,6 @@ let force_full_sync t =
   t.needs_full_sync <- true;
   bump_generation t
 
-let fs_read t path =
-  try Some (Hac_vfs.Fs.read_file t.fs path) with Hac_vfs.Errno.Error _ -> None
-
 (* Verification reads go through the block store's cache when the tier is
    on.  Two guards keep that equivalent to reading the file itself: a dirty
    path (changed since the last settle) must come from the tree — its block
@@ -85,16 +82,24 @@ let fs_read t path =
    checked up front, since the block store is maintained by the superuser
    and must not leak bodies the current user cannot open.  A block that
    fails its seal (torn, rotted, swept) falls back to the tree. *)
-let reader t path =
-  match t.store with
-  | Some store when not (Hashtbl.mem t.dirty path) -> (
-      match Hac_index.Index.doc_of_path t.index path with
-      | Some id when Hac_vfs.Fs.access t.fs path 4 -> (
-          match Hac_store.Store.read_doc store id with
-          | Some content -> Some content
-          | None -> fs_read t path)
-      | _ -> fs_read t path)
-  | _ -> fs_read t path
+let reader t =
+  let native = Hac_remote.Remote_fs.fs_reader t.fs in
+  let read path =
+    match t.store with
+    | Some store when not (Hashtbl.mem t.dirty path) -> (
+        match Hac_index.Index.doc_of_path t.index path with
+        | Some id when native.may_read path -> (
+            match Hac_store.Store.read_doc store id with
+            | Some content -> Some content
+            | None -> native.read path)
+        | _ -> native.read path)
+    | _ -> native.read path
+  in
+  { native with read }
+
+let mark_dirty t path =
+  Hashtbl.replace t.dirty path ();
+  Hac_index.Index.note_dirty t.index path
 
 let semdir_of_uid t uid = Hashtbl.find_opt t.semdirs uid
 

@@ -25,7 +25,8 @@ type t = {
           [mkdir] time, which is the dominant Andrew phase-1 overhead.  A
           skeleton is promoted into {!semdirs} by [smkdir]/[schquery]. *)
   dirty : (string, unit) Hashtbl.t;
-      (** Paths whose index entry is stale (data consistency, section 2.4). *)
+      (** Paths whose index entry is stale (data consistency, section 2.4).
+          Add to it through {!mark_dirty}. *)
   mutable alive : bool;
       (** False once the instance is shut down; its event subscription (which
           cannot be physically removed from the bus) goes inert. *)
@@ -90,12 +91,16 @@ val create :
 (** Fresh state over the given file system (no subscriptions are set up —
     {!Hac.of_fs} does that). *)
 
-val reader : t -> string -> string option
-(** Content reader for verification ([None] on any error, including a read
-    the current user is not permitted).  With the storage tier on, clean
-    (non-dirty) indexed paths are served from the block store through its
-    cache; dirty paths, unknown paths and damaged blocks read the file
-    itself. *)
+val reader : t -> Hac_index.Search.reader
+(** The reader query evaluation verifies with: the file system's own
+    ({!Hac_remote.Remote_fs.fs_reader}), except that with the storage tier
+    on, [read] serves clean (non-dirty) indexed paths the current user may
+    read from the block store through its cache; dirty paths, unknown paths
+    and damaged blocks read the file itself. *)
+
+val mark_dirty : t -> string -> unit
+(** Add the path to [dirty] and report it to the index, which stops
+    vouching for its postings ({!Hac_index.Index.note_dirty}). *)
 
 val semdir_of_uid : t -> int -> Semdir.t option
 (** Semantic state of a directory, if it has a query. *)

@@ -47,17 +47,17 @@ let journal_append (ctx : Ctx.t) body =
       Fs.append_file ctx.fs path (Journal.seal body ^ "\n");
       if ctx.durability = `Always then Fs.fsync ctx.fs path)
 
-(* Dirtying a path journals its first transition since the last settle
-   ([F <path>]), so recovery knows the exact set of paths whose index entry
-   may be stale: a fast mount re-reads only these instead of rescanning the
-   whole tree.  Re-dirtying an already-dirty path appends nothing and a
-   settle empties the set, so each epoch carries O(changed paths) F
-   records. *)
+(* Every dirtying reaches the index, which stops vouching for the path's
+   postings: a rebuild between two writes re-reads the body and vouches
+   again, even for a path that stays dirty.  The journal records only the
+   first transition since the last settle ([F <path>]), so recovery knows
+   the exact set of paths whose index entry may be stale: a fast mount
+   re-reads only these instead of rescanning the whole tree.  A settle
+   empties the set, so each epoch carries O(changed paths) F records. *)
 let mark_dirty (ctx : Ctx.t) path =
-  if not (Hashtbl.mem ctx.dirty path) then begin
-    Hashtbl.replace ctx.dirty path ();
-    journal_append ctx ("F " ^ path)
-  end
+  let first = not (Hashtbl.mem ctx.dirty path) in
+  Ctx.mark_dirty ctx path;
+  if first then journal_append ctx ("F " ^ path)
 
 (* A settle's domain budget becomes a pool only when it actually buys
    parallelism; [None] keeps the engine on the exact sequential code path. *)
@@ -161,7 +161,7 @@ let rename_dirty (ctx : Ctx.t) ~src ~dst =
     (fun p ->
       Hashtbl.remove ctx.dirty p;
       match Vpath.replace_prefix ~prefix:src ~by:dst p with
-      | Some p' -> Hashtbl.replace ctx.dirty p' ()
+      | Some p' -> Ctx.mark_dirty ctx p'
       | None -> ())
     moved
 
@@ -182,10 +182,20 @@ let forget_dir (ctx : Ctx.t) path =
       Sync.unpersist_semdir ctx uid;
       journal_append ctx (Printf.sprintf "X %d" uid)
 
+(* A file event names the entry as its caller addressed it, possibly
+   through a symbolic link to a directory, while the index knows each file
+   by its physical path and must hear of every change under that path.
+   The parent of a file event's entry exists, so resolve it. *)
+let physical (ctx : Ctx.t) p =
+  match Fs.resolve ctx.fs (Vpath.dirname p) with
+  | dir -> Vpath.join dir (Vpath.basename p)
+  | exception Hac_vfs.Errno.Error _ -> p
+
 let on_event (ctx : Ctx.t) ev =
   if ctx.alive && not ctx.maintenance then begin
     (match ev with
     | Event.Created (Event.File, p) ->
+        let p = physical ctx p in
         (* The paper initialises the open-descriptor slot and attribute
            cache entry for every new file, in shared memory. *)
         (match Fs.lstat ctx.fs p with
@@ -193,6 +203,7 @@ let on_event (ctx : Ctx.t) ev =
         | exception Hac_vfs.Errno.Error _ -> ());
         mark_dirty ctx p
     | Event.Written p ->
+        let p = physical ctx p in
         (match Hashtbl.find_opt ctx.file_meta p with
         | Some _ -> (
             match Fs.lstat ctx.fs p with
@@ -201,6 +212,7 @@ let on_event (ctx : Ctx.t) ev =
         | None -> ());
         mark_dirty ctx p
     | Event.Removed (Event.File, p) ->
+        let p = physical ctx p in
         Hashtbl.remove ctx.file_meta p;
         mark_dirty ctx p
     | Event.Created (Event.Dir, p) ->
@@ -246,6 +258,7 @@ let on_event (ctx : Ctx.t) ev =
                     ())
             | None -> ())
         | { Fs.st_kind = Event.File; _ } ->
+            let src = physical ctx src and dst = physical ctx dst in
             Index.rename_path ctx.index ~old_path:src ~new_path:dst;
             rename_dirty ctx ~src ~dst;
             (* Directory records never mention files, so across a remount
@@ -359,7 +372,7 @@ let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget f
                           | None ->
                               (* Unknown to the table: created since the
                                  checkpoint — index it on first settle. *)
-                              Hashtbl.replace ctx.dirty path ())
+                              Ctx.mark_dirty ctx path)
                       | Event.Link -> ());
                 (* The journaled dirty delta (F records): re-read exactly
                    the paths touched since the last settle.  A source that
@@ -368,8 +381,7 @@ let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget f
                 Hashtbl.iter
                   (fun p () ->
                     match Fs.lstat fs p with
-                    | { Fs.st_kind = Event.File; _ } ->
-                        Hashtbl.replace ctx.dirty p ()
+                    | { Fs.st_kind = Event.File; _ } -> Ctx.mark_dirty ctx p
                     | _ -> ()
                     | exception Hac_vfs.Errno.Error _ -> ())
                   r.Journal.files;
@@ -823,7 +835,7 @@ let resolve_target (ctx : Ctx.t) path =
 
 let resolve_link (ctx : Ctx.t) path =
   match resolve_target ctx path with
-  | Link.Local p -> Ctx.reader ctx p
+  | Link.Local p -> (Ctx.reader ctx).read p
   | Link.Remote { ns_id; uri } -> Sync.fetch_remote ctx ~ns_id ~uri
 
 let sact (ctx : Ctx.t) link_path =

@@ -33,8 +33,7 @@ type t = {
   search_postings : Metrics.counter;
   search_candidates : Metrics.counter;
   search_verified : Metrics.counter;
-  restrict_kept : Metrics.counter;
-  restrict_dropped : Metrics.counter;
+  search_trusted : Metrics.counter;
   sync_full : Metrics.counter;
   sync_delta : Metrics.counter;
   sync_fallback : Metrics.counter;
@@ -100,8 +99,7 @@ let create ~now () =
     search_postings = Metrics.counter m "search.postings_scanned";
     search_candidates = Metrics.counter m "search.candidates_expanded";
     search_verified = Metrics.counter m "search.docs_verified";
-    restrict_kept = Metrics.counter m "search.restrict_kept";
-    restrict_dropped = Metrics.counter m "search.restrict_dropped";
+    search_trusted = Metrics.counter m "search.docs_trusted";
     sync_full = Metrics.counter m "sync.full.count";
     sync_delta = Metrics.counter m "sync.delta.count";
     sync_fallback = Metrics.counter m "sync.delta.fallback";
@@ -128,5 +126,4 @@ let flush_probe t (p : Hac_index.Search.probe) =
   Metrics.incr ~by:p.Hac_index.Search.postings_scanned t.search_postings;
   Metrics.incr ~by:p.Hac_index.Search.candidates_expanded t.search_candidates;
   Metrics.incr ~by:p.Hac_index.Search.docs_verified t.search_verified;
-  Metrics.incr ~by:p.Hac_index.Search.restrict_kept t.restrict_kept;
-  Metrics.incr ~by:p.Hac_index.Search.restrict_dropped t.restrict_dropped
+  Metrics.incr ~by:p.Hac_index.Search.docs_trusted t.search_trusted

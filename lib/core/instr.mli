@@ -57,8 +57,8 @@ type t = {
   search_postings : Hac_obs.Metrics.counter;
   search_candidates : Hac_obs.Metrics.counter;
   search_verified : Hac_obs.Metrics.counter;
-  restrict_kept : Hac_obs.Metrics.counter;
-  restrict_dropped : Hac_obs.Metrics.counter;
+  search_trusted : Hac_obs.Metrics.counter;
+      (** Candidates accepted on exact postings without a content read. *)
   sync_full : Hac_obs.Metrics.counter;
   sync_delta : Hac_obs.Metrics.counter;
   sync_fallback : Hac_obs.Metrics.counter;

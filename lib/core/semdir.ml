@@ -40,7 +40,11 @@ let create ~uid query =
     stamp = next_stamp ();
   }
 
-let set_query sd q = sd.query <- q
+(* The query is persisted metadata: a change must reach disk even when the
+   result it selects is unchanged. *)
+let set_query sd q =
+  sd.query <- q;
+  sd.meta_dirty <- true
 
 let set_transient_local sd s =
   sd.transient_local <- s;

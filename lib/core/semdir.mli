@@ -55,7 +55,8 @@ val create : uid:int -> Hac_query.Ast.t -> t
 (** Fresh semantic directory state with no links and no prohibitions. *)
 
 val set_query : t -> Hac_query.Ast.t -> unit
-(** Replace the query.  The stamp stays: a new query changes what the
+(** Replace the query and mark the metadata for persisting, even if the
+    result does not change.  The stamp stays: a new query changes what the
     directory serves only through the re-evaluation that follows. *)
 
 val set_transient_local : t -> Hac_bitset.Fileset.t -> unit

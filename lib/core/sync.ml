@@ -122,7 +122,7 @@ let scope_ro pass ctx uid =
   | Some s -> s
   | None -> compute_scope ctx uid
 
-let attr_docs ?within ?cache (ctx : Ctx.t) key value =
+let attr_docs ?probe ?within ?cache (ctx : Ctx.t) key value =
   match key with
   | "name" | "ext" | "path" ->
       (* Built-in attributes derive from the path alone; under a delta
@@ -136,30 +136,10 @@ let attr_docs ?within ?cache (ctx : Ctx.t) key value =
           | Some p -> Vpath.matches_builtin_attr ~key ~value p
           | None -> false)
         base
-  | _ -> (
+  | _ ->
       (* Transducer-extracted attributes: candidates from the index,
          verified by re-extracting from the candidate's content. *)
-      match Index.transducer ctx.index with
-      | None -> Fileset.empty
-      | Some td ->
-          let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
-          let read path =
-            match cache with
-            | Some c -> Search.cached_content c (Ctx.reader ctx) path
-            | None -> Ctx.reader ctx path
-          in
-          let verify id =
-            match Index.doc_path ctx.index id with
-            | None -> false
-            | Some path -> (
-                match read path with
-                | None -> false
-                | Some content ->
-                    List.exists
-                      (fun (k, v) -> k = key && v = value)
-                      (td.Hac_index.Transducer.extract ~path ~content))
-          in
-          Fileset.filter verify (Index.attr_docs ?within ctx.index key value))
+      Search.search_attr ?probe ?within ?cache ctx.index (Ctx.reader ctx) key value
 
 (* Measured candidate counts for the planner: per-container cardinalities
    of exactly the partitions a lookup would touch (scoped by [?under] when
@@ -205,7 +185,7 @@ let make_evaluator pass (ctx : Ctx.t) ~shared =
         | Some u -> scope_of u
         | None -> Fileset.empty)
   in
-  let attr ?within k v = attr_docs ?within ?cache:pass.cache ctx k v in
+  let attr ?probe ?within k v = attr_docs ?probe ?within ?cache:pass.cache ctx k v in
   Search.evaluator ?memo:pass.memo ?cache:pass.cache ctx.index (Ctx.reader ctx) ~attr
     ~dirref
 
@@ -338,16 +318,19 @@ let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
     Buffer.contents b
   in
   let proh_data = String.concat "\n" (Semdir.prohibited_keys sd) in
-  (* The query-result bitmap, ceil(N/8) bytes for N indexed files. *)
+  (* The query-result bitmap, one bit per document id up to the largest
+     member: the paper's N/8 bytes, sized by the result itself, so equal
+     results persist as equal bytes whenever they were written and no
+     member past the live-document count is dropped. *)
   let result_data =
-    let bitmap = Bytes.make ((Index.doc_count ctx.index + 7) / 8) '\000' in
-    Hac_bitset.Fileset.iter
+    let local = sd.Semdir.transient_local in
+    let width = match Fileset.max_elt_opt local with Some m -> (m / 8) + 1 | None -> 0 in
+    let bitmap = Bytes.make width '\000' in
+    Fileset.iter
       (fun id ->
-        if id / 8 < Bytes.length bitmap then begin
-          let byte = Char.code (Bytes.get bitmap (id / 8)) in
-          Bytes.set bitmap (id / 8) (Char.chr (byte lor (1 lsl (id mod 8))))
-        end)
-      sd.Semdir.transient_local;
+        let byte = Char.code (Bytes.get bitmap (id / 8)) in
+        Bytes.set bitmap (id / 8) (Char.chr (byte lor (1 lsl (id mod 8)))))
+      local;
     Bytes.to_string bitmap
   in
   Ctx.with_maintenance ctx (fun () ->

@@ -12,8 +12,12 @@
    Removing a document does not erase its postings (the [alive] set is
    intersected in), and renaming a document does not move its old postings
    between partitions — the document joins the [relabeled] set, which is
-   unioned into every scoped answer so it stays a sound superset.
-   Verification cleans candidates; {!reset} (on rebuild) reclaims.
+   unioned into every scoped answer so it stays a sound superset.  A
+   relabeled document is a candidate for every scoped term, so its
+   postings cannot vouch for it: the index lists it (with every document
+   rewritten in place) as unvouched, and verification cleans those
+   candidates.  Every other live candidate carries a posting of the term
+   from its current content.  {!reset} (on rebuild) reclaims.
 
    Concurrency: all mutation happens on the main domain between settle
    passes.  During passes, worker domains only read — the lone mutable reads

@@ -23,6 +23,9 @@ type t = {
   mutable next_id : int;
   by_path : (string, doc_id) Hashtbl.t;
   mutable lazy_ops : int; (* removals + in-place updates since the last rebuild *)
+  drift : Fileset.Builder.t;
+      (* docs updated in place, renamed or reported dirty since the last
+         rebuild: their postings may not describe their file *)
   by_dir : (string, Fileset.Builder.t) Hashtbl.t; (* ancestor dir -> live docs beneath it *)
   cas : Cas.t; (* content-and-structure postings, doc-granular *)
   mutable cold : cold option; (* on-disk postings behind the resident ones *)
@@ -38,6 +41,7 @@ let create ?(block_size = 1) ?(stem = true) ?transducer () =
     next_id = 0;
     by_path = Hashtbl.create 256;
     lazy_ops = 0;
+    drift = Fileset.Builder.create ();
     by_dir = Hashtbl.create 256;
     cas = Cas.create ();
     cold = None;
@@ -110,6 +114,7 @@ let update_document t ~path ~content =
   | Some id ->
       (* Lazy update: stale words keep their postings until [rebuild]. *)
       t.lazy_ops <- t.lazy_ops + 1;
+      Fileset.Builder.add t.drift id;
       index_content t id path content;
       id
   | None ->
@@ -161,6 +166,11 @@ let remove_path t path =
       Cas.note_remove t.cas id;
       Hashtbl.remove t.by_path path
 
+let note_dirty t path =
+  match Hashtbl.find_opt t.by_path path with
+  | Some id -> Fileset.Builder.add t.drift id
+  | None -> ()
+
 let rename_path t ~old_path ~new_path =
   match Hashtbl.find_opt t.by_path old_path with
   | None -> ()
@@ -178,6 +188,9 @@ let rename_path t ~old_path ~new_path =
       Hashtbl.replace t.by_path new_path id;
       dir_enroll t new_path id;
       Cas.note_doc t.cas id ~path:new_path;
+      (* Scoped lookups union every relabeled document regardless of term,
+         and a transducer may read the path: the postings no longer vouch. *)
+      Fileset.Builder.add t.drift id;
       t.docs.(id).path <- new_path
 
 let doc_count t = Hashtbl.length t.by_path
@@ -229,6 +242,22 @@ let widen t s =
 
 let with_cold t resident key =
   if t.cold = None then resident else Fileset.union resident (cold_docs t key)
+
+(* A posting is the verdict only when it names one document (no block
+   view) and comes from the file's current body indexed under its current
+   path: not drifted by a lazy update, a rename or a reported change since
+   the rebuild, which re-read every body.  Dead documents are never
+   candidates, so [drift] needs no clearing in between.  Cold segments were
+   dumped from lazily updated postings that may keep stale words, and which
+   documents drifted before the dump is not recorded, so a cold provider
+   vouches for nothing. *)
+let unvouched t c =
+  if t.block_size > 1 || t.cold <> None then c
+  else if Fileset.Builder.cardinal t.drift = 0 then Fileset.empty
+  else
+    (* Probed in place: a snapshot of the set per lookup would cost more
+       than the candidates. *)
+    Fileset.filter (fun id -> Fileset.Builder.mem t.drift id) c
 
 let finish ?within t c =
   let c = widen t c in
@@ -300,6 +329,7 @@ let attr_cost ?under t key value =
 
 let rebuild t reader =
   t.lazy_ops <- 0;
+  Fileset.Builder.clear t.drift;
   (* The rebuild reads every live document, so afterwards the resident
      postings cover everything the cold segments did (for live documents);
      dropping the provider here is what ultimately retires segment files. *)

@@ -4,8 +4,9 @@
     word and each transducer attribute/value pair has one doc-granular
     posting set, held by the content-and-structure postings of {!Cas}
     (partitioned by path label, so scoped lookups touch only the relevant
-    slice).  A lookup answers a {e candidate} superset; callers needing exact
-    answers verify candidates against the actual contents ({!Search}).
+    slice).  A lookup answers a {e candidate} superset; {!unvouched} names
+    the candidates whose postings may be wrong, and callers needing exact
+    answers verify those against the actual contents ({!Search}).
 
     Glimpse's block granularity is a view, not a second structure: with
     [block_size > 1] every candidate set is widened at lookup time to the
@@ -13,9 +14,12 @@
     block bitmap would give — and verification trims the extra documents.
 
     Updates are lazy, like Glimpse's: removing or rewriting a document does
-    not erase its old words' postings (removals are masked by the live set);
-    stale postings only cost verification work and disappear on
-    {!rebuild}. *)
+    not erase its old words' postings (removals are masked by the live set),
+    and a rename leaves them under the old path label.  Until {!rebuild}
+    such a document is unvouched, so stale postings only cost verification
+    work.  At block size 1 with no cold provider, every other live
+    candidate's posting already is the verdict, as long as each change to
+    an indexed file reaches the index ({!note_dirty}). *)
 
 type t
 (** One index instance. *)
@@ -45,8 +49,8 @@ val add_document : t -> path:string -> content:string -> doc_id
     {!update_document}. *)
 
 val update_document : t -> path:string -> content:string -> doc_id
-(** Reindex the contents of an existing path (same identifier); adds the
-    document when missing. *)
+(** Reindex the contents of an existing path (same identifier, unvouched
+    until {!rebuild}); adds the document when missing. *)
 
 val remove_path : t -> string -> unit
 (** Forget the document at the path; its identifier is never reused.  No-op
@@ -82,7 +86,8 @@ val set_cold :
 (** Install a cold-postings provider: term lookups over on-disk segments not
     loaded into memory, keyed by the {!Cas} flat term encodings.  Its sets
     are unioned into every candidate answer (masked by the live universe and
-    trimmed by verification — an over-broad provider costs work, never
+    trimmed by verification, as {!unvouched} names every candidate while a
+    provider is installed — an over-broad provider costs work, never
     correctness), its costs added to {!term_cost}/{!attr_cost}, and its
     [words] swept by approximate queries. *)
 
@@ -92,8 +97,25 @@ val clear_cold : t -> unit
 val has_cold : t -> bool
 
 val rename_path : t -> old_path:string -> new_path:string -> unit
-(** Move a document to a new path, keeping its identifier.  No-op when
-    [old_path] is not indexed. *)
+(** Move a document to a new path, keeping its identifier (unvouched until
+    {!rebuild}).  No-op when [old_path] is not indexed. *)
+
+val note_dirty : t -> string -> unit
+(** Report that the file at the path changed since it was last indexed: its
+    document is unvouched until the next {!rebuild}.  The postings vouch for
+    a document only if every change to its file is reported here (or
+    through {!update_document}, {!remove_path} or {!rename_path}) before the
+    next lookup.  No-op when the path is not indexed. *)
+
+val unvouched : t -> Hac_bitset.Fileset.t -> Hac_bitset.Fileset.t
+(** The members of a candidate set whose postings cannot vouch for them, so
+    a caller wanting exact answers must verify them against content.  All
+    of them when [block_size > 1] or a cold provider is installed (segment
+    dumps keep the stale words of lazily updated documents).  Otherwise the
+    documents updated in place, renamed or reported by {!note_dirty} since
+    the last {!rebuild}.  For a word or attribute lookup, every other member
+    holds the term in its indexed content.  Safe to call from worker
+    domains. *)
 
 val doc_count : t -> int
 (** Number of live documents. *)
@@ -167,8 +189,10 @@ val vocabulary_size : t -> int
 
 val rebuild : t -> (doc_id -> string option) -> unit
 (** Drop all postings and reindex every live document from the reader —
-    reclaims stale postings left by removals and updates.  A document the
-    reader cannot supply is dropped as removed. *)
+    reclaims stale postings left by removals and updates, and vouches again
+    for documents updated in place, renamed or reported dirty, so the reader
+    must supply each file's current body.  A document the reader cannot
+    supply is dropped as removed. *)
 
 val index_bytes : t -> int
 (** Estimated byte size of the index structures (compressed postings +

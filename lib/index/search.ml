@@ -1,6 +1,6 @@
 module Fileset = Hac_bitset.Fileset
 
-type reader = string -> string option
+type reader = { read : string -> string option; may_read : string -> bool }
 
 (* Per-evaluation profiling accumulator.  A plain mutable record rather
    than a metrics dependency: callers that care allocate one, pass it down,
@@ -10,20 +10,12 @@ type probe = {
   mutable postings_scanned : int;
   mutable candidates_expanded : int;
   mutable docs_verified : int;
-  mutable restrict_kept : int;
-  mutable restrict_dropped : int;
+  mutable docs_trusted : int;
   mutable terms : int;
 }
 
 let new_probe () =
-  {
-    postings_scanned = 0;
-    candidates_expanded = 0;
-    docs_verified = 0;
-    restrict_kept = 0;
-    restrict_dropped = 0;
-    terms = 0;
-  }
+  { postings_scanned = 0; candidates_expanded = 0; docs_verified = 0; docs_trusted = 0; terms = 0 }
 
 let tick probe f = match probe with Some p -> f p | None -> ()
 
@@ -67,10 +59,13 @@ type cache_stats = {
 
 let default_cache_bytes = 32 * 1024 * 1024
 
+(* Sized like the term memo: most passes (a delta settle) read a handful of
+   documents, and a 1024-bucket table would be a fresh large block on the
+   major heap for every pass. *)
 let doc_cache ?(max_bytes = default_cache_bytes) () =
   {
     dc_lock = Mutex.create ();
-    dc_tbl = Hashtbl.create 1024;
+    dc_tbl = Hashtbl.create 64;
     dc_max_bytes = max_bytes;
     dc_bytes = 0;
     dc_hits = 0;
@@ -109,7 +104,7 @@ let cached_entry c (reader : reader) path =
         Option.map
           (fun content ->
             { de_content = content; de_lock = Mutex.create (); de_keys = None; de_tokens = None })
-          (reader path)
+          (reader.read path)
       in
       Mutex.lock c.dc_lock;
       (match Hashtbl.find_opt c.dc_tbl path with
@@ -176,7 +171,9 @@ let contains_word idx ~content ~word =
 
 (* Membership in the index-keyed token set is exactly [contains_word]:
    unstemmed keys are the raw (truncated) tokens [Tokenizer.contains_word]
-   matches; stemmed keys compare stems as the scan does. *)
+   matches; stemmed keys compare stems as the scan does.  It is also
+   exactly what indexing posts, which is why a word posting the index
+   vouches for ({!Index.unvouched}) needs no second look at the body. *)
 let entry_has_word idx e w = Hashtbl.mem (entry_keys idx e) (key idx (String.lowercase_ascii w))
 
 (* Slide over the token stream keeping how much of the phrase each in-flight
@@ -203,32 +200,19 @@ let entry_has_phrase e words =
   | [] -> true
   | first :: rest -> phrase_in_tokens first rest (entry_tokens e)
 
-let restrict ?probe within candidates =
-  match within with
-  | None -> candidates
-  | Some w ->
-      let kept = Fileset.inter w candidates in
-      tick probe (fun p ->
-          let before = Fileset.cardinal candidates and after = Fileset.cardinal kept in
-          p.restrict_kept <- p.restrict_kept + after;
-          p.restrict_dropped <- p.restrict_dropped + (before - after));
-      kept
-
-let verify ?probe idx reader pred candidates =
-  tick probe (fun p -> p.docs_verified <- p.docs_verified + Fileset.cardinal candidates);
+let verify idx reader pred candidates =
   Fileset.filter
     (fun id ->
       match Index.doc_path idx id with
       | None -> false
       | Some path -> (
-          match reader path with None -> false | Some content -> pred content))
+          match reader.read path with None -> false | Some content -> pred ~path content))
     candidates
 
 (* Cache-backed verification: the same shape, but the predicate runs on a
    shared [doc_entry], so each file is read and tokenized at most once per
    pass no matter how many sibling directories verify it. *)
-let verify_entry ?probe cache idx reader pred candidates =
-  tick probe (fun p -> p.docs_verified <- p.docs_verified + Fileset.cardinal candidates);
+let verify_entry cache idx reader pred candidates =
   Fileset.filter
     (fun id ->
       match Index.doc_path idx id with
@@ -236,6 +220,30 @@ let verify_entry ?probe cache idx reader pred candidates =
       | Some path -> (
           match cached_entry cache reader path with None -> false | Some e -> pred e))
     candidates
+
+(* Glimpse verifies every candidate because its postings name blocks.  Ours
+   name documents, so for an [~exact] term, whose candidates are the
+   postings of the very predicate verification would re-apply to the same
+   tokens, the posting of a document the index vouches for already is the
+   verdict.  Such a candidate keeps only the read-permission half of
+   verification: HAC borrows its security from the OS, and a body the
+   caller may not read must not match.  Every other candidate goes through
+   [check]. *)
+let verify_unvouched ?probe ~exact idx reader check candidates =
+  let unsure = if exact then Index.unvouched idx candidates else candidates in
+  let n_unsure = Fileset.cardinal unsure in
+  let n_trusted = Fileset.cardinal candidates - n_unsure in
+  tick probe (fun p ->
+      p.docs_verified <- p.docs_verified + n_unsure;
+      p.docs_trusted <- p.docs_trusted + n_trusted);
+  let verified = check unsure in
+  if n_trusted = 0 then verified
+  else
+    Fileset.union verified
+      (Fileset.filter
+         (fun id ->
+           match Index.doc_path idx id with Some path -> reader.may_read path | None -> false)
+         (if n_unsure = 0 then candidates else Fileset.diff candidates unsure))
 
 let expanded ?probe candidates =
   tick probe (fun p ->
@@ -246,12 +254,12 @@ let search_word ?probe ?within ?under ?cache idx reader w =
   let w = String.lowercase_ascii w in
   tick probe (fun p ->
       p.postings_scanned <- p.postings_scanned + Index.term_cost ?under idx w);
-  let candidates =
-    restrict ?probe within (expanded ?probe (Index.candidate_docs ?within ?under idx w))
-  in
-  match cache with
-  | None -> verify ?probe idx reader (fun content -> contains_word idx ~content ~word:w) candidates
-  | Some c -> verify_entry ?probe c idx reader (fun e -> entry_has_word idx e w) candidates
+  let candidates = expanded ?probe (Index.candidate_docs ?within ?under idx w) in
+  verify_unvouched ?probe ~exact:true idx reader
+    (match cache with
+    | None -> verify idx reader (fun ~path:_ content -> contains_word idx ~content ~word:w)
+    | Some c -> verify_entry c idx reader (fun e -> entry_has_word idx e w))
+    candidates
 
 let search_phrase ?probe ?within ?under ?cache idx reader words =
   match words with
@@ -270,39 +278,59 @@ let search_phrase ?probe ?within ?under ?cache idx reader words =
           words
       in
       let sets = match within with Some w -> w :: sets | None -> sets in
-      let candidates = Fileset.inter_many sets in
-      let candidates = restrict ?probe within (expanded ?probe candidates) in
-      (match cache with
-      | None ->
-          verify ?probe idx reader (fun content -> contains_phrase ~content words) candidates
-      | Some c -> verify_entry ?probe c idx reader (fun e -> entry_has_phrase e words) candidates)
+      (* Word postings cannot tell adjacency: every candidate is read. *)
+      verify_unvouched ?probe ~exact:false idx reader
+        (match cache with
+        | None -> verify idx reader (fun ~path:_ content -> contains_phrase ~content words)
+        | Some c -> verify_entry c idx reader (fun e -> entry_has_phrase e words))
+        (expanded ?probe (Fileset.inter_many sets))
 
+(* The candidates are the postings of every vocabulary word within the edit
+   distance, and verification asks whether some token's key is such a word:
+   the same predicate over the same tokens, so exact postings vouch. *)
 let search_approx ?probe ?within ?cache idx reader ~word ~errors =
   let word = String.lowercase_ascii word in
   let candidates = expanded ?probe (Index.candidate_docs_approx ?within idx ~word ~errors) in
   tick probe (fun p -> p.postings_scanned <- p.postings_scanned + Fileset.cardinal candidates);
-  let candidates = restrict ?probe within candidates in
-  match cache with
-  | None ->
-      let pred content =
-        let found = ref false in
-        Tokenizer.iter_words content (fun x ->
-            if Agrep.word_matches ~pattern:(key idx word) ~errors (key idx x) then found := true)
-        ;
-        !found
+  let near x = Agrep.word_matches ~pattern:(key idx word) ~errors (key idx x) in
+  verify_unvouched ?probe ~exact:true idx reader
+    (match cache with
+    | None ->
+        verify idx reader (fun ~path:_ content ->
+            let found = ref false in
+            Tokenizer.iter_words content (fun x -> if near x then found := true);
+            !found)
+    | Some c -> verify_entry c idx reader (fun e -> List.exists near (entry_tokens e)))
+    candidates
+
+(* Transducer attributes: the postings are what [extract] returned at
+   indexing time, lowercased, and verification re-extracts from the current
+   body and path under the same normalization, so a vouched-for posting is
+   the verdict here too. *)
+let search_attr ?probe ?within ?cache idx reader key value =
+  match Index.transducer idx with
+  | None -> Fileset.empty
+  | Some td ->
+      let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
+      tick probe (fun p ->
+          p.postings_scanned <- p.postings_scanned + Index.attr_cost idx key value);
+      let holds ~path content =
+        List.exists
+          (fun (k, v) -> String.lowercase_ascii k = key && String.lowercase_ascii v = value)
+          (td.Transducer.extract ~path ~content)
       in
-      verify ?probe idx reader pred candidates
-  | Some c ->
-      verify_entry ?probe c idx reader
-        (fun e ->
-          List.exists
-            (fun x -> Agrep.word_matches ~pattern:(key idx word) ~errors (key idx x))
-            (entry_tokens e))
-        candidates
+      let read =
+        match cache with
+        | None -> reader
+        | Some c -> { reader with read = cached_content c reader }
+      in
+      verify_unvouched ?probe ~exact:true idx reader (verify idx read holds)
+        (expanded ?probe (Index.attr_docs ?within idx key value))
 
 let search_substring ?probe idx reader pattern =
-  let pred content = Agrep.find_exact ~pattern content <> None in
-  verify ?probe idx reader pred (expanded ?probe (Index.universe idx))
+  let pred ~path:_ content = Agrep.find_exact ~pattern content <> None in
+  verify_unvouched ?probe ~exact:false idx reader (verify idx reader pred)
+    (expanded ?probe (Index.universe idx))
 
 let contains_substring hay needle =
   Agrep.find_exact ~pattern:needle hay <> None
@@ -328,13 +356,15 @@ let search_regex ?probe ?within ?under ?cache idx reader pattern =
           Fileset.empty (Index.vocabulary idx)
     | Some _ | None -> ( match within with Some w -> w | None -> Index.universe idx)
   in
-  let candidates = restrict ?probe within (expanded ?probe candidates) in
-  match cache with
-  | None -> verify ?probe idx reader (fun content -> Regex.matches re content) candidates
-  | Some c -> verify_entry ?probe c idx reader (fun e -> Regex.matches re e.de_content) candidates
+  (* A required literal narrows candidates; only the body decides. *)
+  verify_unvouched ?probe ~exact:false idx reader
+    (match cache with
+    | None -> verify idx reader (fun ~path:_ content -> Regex.matches re content)
+    | Some c -> verify_entry c idx reader (fun e -> Regex.matches re e.de_content))
+    (expanded ?probe candidates)
 
 let matching_lines idx reader ~path ~query_words =
-  match reader path with
+  match reader.read path with
   | None -> []
   | Some content ->
       let keys = List.map (fun w -> key idx (String.lowercase_ascii w)) query_words in
@@ -452,7 +482,8 @@ let make_env ev ~attr ~dirref =
               ~word:w ~errors:k));
     attr =
       (fun ?within k v ->
-        memo_term ev ~within (keyed ("a:" ^ k ^ "\x00" ^ v)) (fun () -> attr ?within k v));
+        memo_term ev ~within (keyed ("a:" ^ k ^ "\x00" ^ v)) (fun () ->
+            attr ?probe:ev.ev_probe ?within k v));
     regex =
       (fun ?within r ->
         term ();

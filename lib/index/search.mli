@@ -2,26 +2,38 @@
 
     The index answers with candidate supersets; the functions here
     read the candidate documents and keep only the ones whose contents
-    actually match — Glimpse's second level.  Content access is abstracted
+    actually match — Glimpse's second level.  Word, transducer-attribute
+    and approximate terms read only the candidates {!Index.unvouched}
+    names: their other candidates hold the term in their indexed content,
+    which is the verdict verification would reach, and only need the
+    caller's read permission.  That holds only while the index is told of
+    every change to a document's file ({!Index.update_document},
+    {!Index.remove_path}, {!Index.rename_path} or {!Index.note_dirty});
+    otherwise answers go stale.  Phrase, regex
+    and substring terms read every candidate.  Content access is abstracted
     as a [reader] so the same code serves the local VFS, remote namespaces
     and tests. *)
 
-type reader = string -> string option
-(** [reader path] is the document's contents, or [None] when unreadable. *)
+type reader = {
+  read : string -> string option;
+      (** The document's contents, or [None] when unreadable. *)
+  may_read : string -> bool;
+      (** Whether the caller may read the document — the permission half of
+          [read], checked for candidates whose body is not read. *)
+}
 
 type probe = {
   mutable postings_scanned : int;
       (** Index cost units consulted ({!Index.term_cost} per word looked up;
           candidate cardinality for approximate lookups). *)
   mutable candidates_expanded : int;
-      (** Documents in candidate sets before restriction/verification. *)
+      (** Documents in candidate sets (already inside any [?within]), before
+          verification. *)
   mutable docs_verified : int;
       (** Documents whose contents were read and checked. *)
-  mutable restrict_kept : int;
-      (** Candidates surviving a [?within] restriction. *)
-  mutable restrict_dropped : int;
-      (** Candidates removed by a [?within] restriction — together with
-          [restrict_kept] this gives the restriction hit rate. *)
+  mutable docs_trusted : int;
+      (** Candidates accepted on their postings after a permission check,
+          without reading their contents. *)
   mutable terms : int;  (** Query terms evaluated through {!eval}. *)
 }
 (** Per-evaluation profiling accumulator.  Pass one [?probe] through a
@@ -83,9 +95,10 @@ val search_word :
   string ->
   Hac_bitset.Fileset.t
 (** Documents that contain the word (index candidates, then verified whole-
-    word containment; stemming follows the index's setting).  [?within]
-    restricts the candidates before verification — conjunctive evaluation
-    passes its accumulated result here so ever fewer documents are read.
+    word containment for the unvouched ones; stemming follows the index's
+    setting).  [?within] restricts the candidates before verification —
+    conjunctive evaluation passes its accumulated result here so ever fewer
+    documents are read.
     [?under] is the CAS scope hint ({!Index.candidate_docs}): sound only
     when the caller intersects the result with a subtree scope below it.
     [?cache] routes content reads and tokenization through a pass cache. *)
@@ -114,6 +127,19 @@ val search_approx :
   Hac_bitset.Fileset.t
 (** Documents containing some word within the given edit distance — the
     [~term] query form. *)
+
+val search_attr :
+  ?probe:probe ->
+  ?within:Hac_bitset.Fileset.t ->
+  ?cache:doc_cache ->
+  Index.t ->
+  reader ->
+  string ->
+  string ->
+  Hac_bitset.Fileset.t
+(** Documents the index's transducer assigns the attribute/value pair
+    (lowercased), re-extracted from the body and path for the unvouched
+    candidates.  Empty when no transducer is installed. *)
 
 val search_substring : ?probe:probe -> Index.t -> reader -> string -> Hac_bitset.Fileset.t
 (** Documents whose raw contents contain the byte string (bitap scan over
@@ -165,12 +191,14 @@ val evaluator :
   ?cache:doc_cache ->
   Index.t ->
   reader ->
-  attr:(?within:Hac_bitset.Fileset.t -> string -> string -> Hac_bitset.Fileset.t) ->
+  attr:
+    (?probe:probe -> ?within:Hac_bitset.Fileset.t -> string -> string -> Hac_bitset.Fileset.t) ->
   dirref:(?within:Hac_bitset.Fileset.t -> Hac_query.Ast.dirref -> Hac_bitset.Fileset.t) ->
   evaluator
 (** The standard {!Eval.env} wiring (word/phrase/approx/regex answered by
     the searches above, with malformed regex terms evaluating to the empty
-    set; attributes and directory references supplied by the caller).  With
+    set; attributes and directory references supplied by the caller, with
+    the evaluation's probe for attribute verification work).  With
     [?memo], unrestricted term evaluations — including the universe and the
     supplied [attr] — are memoized; [dirref] results never are (scopes move
     as a pass applies results).  With [?cache], content verification runs
@@ -199,7 +227,8 @@ val eval :
   ?under:string ->
   Index.t ->
   reader ->
-  attr:(?within:Hac_bitset.Fileset.t -> string -> string -> Hac_bitset.Fileset.t) ->
+  attr:
+    (?probe:probe -> ?within:Hac_bitset.Fileset.t -> string -> string -> Hac_bitset.Fileset.t) ->
   dirref:(?within:Hac_bitset.Fileset.t -> Hac_query.Ast.dirref -> Hac_bitset.Fileset.t) ->
   Hac_query.Ast.t ->
   Hac_bitset.Fileset.t

@@ -22,9 +22,15 @@ let path_of_uri ~ns_id uri =
     Some (Vpath.normalize (String.sub uri (plen - 1) (String.length uri - plen + 1)))
   else None
 
+let fs_reader fs =
+  {
+    Search.read = (fun path -> try Some (Fs.read_file fs path) with Hac_vfs.Errno.Error _ -> None);
+    may_read = (fun path -> Fs.access fs path 4 (* R_OK *));
+  }
+
 let create ~ns_id fs index =
   check_ns_id ns_id;
-  let reader path = try Some (Fs.read_file fs path) with Hac_vfs.Errno.Error _ -> None in
+  let reader = fs_reader fs in
   let attr_match key value id =
     match Index.doc_path index id with
     | None -> false
@@ -65,7 +71,7 @@ let create ~ns_id fs index =
         |> List.rev
   in
   let fetch uri =
-    match path_of_uri ~ns_id uri with None -> None | Some path -> reader path
+    match path_of_uri ~ns_id uri with None -> None | Some path -> reader.read path
   in
   let list_all () =
     Fileset.fold

@@ -2,7 +2,7 @@ type mode = Read_only | Write_only | Read_write
 
 type entry = {
   ino : Inode.ino;
-  path : string; (* the path used at open time, for Written events *)
+  path : string; (* the physical path at open time, for Written events *)
   mode : mode;
   mutable pos : int;
 }
@@ -29,7 +29,12 @@ let find_free t =
       n
 
 let openfile t ?(create = false) mode path =
-  let path = Vpath.normalize path in
+  (* Writes are announced under the file's physical path, as
+     [Fs.write_file] does, so a write through a symbolic link names the
+     file that observers (the content index) know. *)
+  let path =
+    try Fs.resolve t.fs path with Errno.Error (Errno.ENOENT, _) -> Vpath.normalize path
+  in
   if create && not (Fs.exists t.fs path) then Fs.create_file t.fs path;
   let need = match mode with Read_only -> 4 | Write_only -> 2 | Read_write -> 6 in
   if Fs.exists t.fs path && not (Fs.access t.fs path need) then

@@ -16,7 +16,9 @@ val create : Fs.t -> t
 
 val openfile : t -> ?create:bool -> mode -> string -> int
 (** Open a regular file and return its descriptor.  With [~create:true] a
-    missing file is created first.  [EISDIR] on directories. *)
+    missing file is created first.  [EISDIR] on directories.  Writes through
+    the descriptor publish [Written] under the path the opened name resolved
+    to, symbolic links followed. *)
 
 val close : t -> int -> unit
 (** Release a descriptor.  [EBADF] when not open. *)

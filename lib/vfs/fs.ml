@@ -92,7 +92,7 @@ let resolve_ino fs ~follow_last path =
                     go stack (tcomps @ rest) (depth + 1)
                 | _ -> go (child_ino :: stack) rest depth)))
   in
-  go [ Inode.root_ino ] (Vpath.split (Vpath.normalize path)) 0
+  go [ Inode.root_ino ] (Vpath.components path) 0
 
 (* Like [resolve_ino] but also returns the physical path of the result, used
    by [resolve].  We rebuild names by tracking them alongside inos. *)

@@ -18,7 +18,9 @@ let of_components = function
   | [] -> root
   | cs -> "/" ^ String.concat "/" cs
 
-let normalize p = of_components (resolve_dots [] (split p))
+let components p = resolve_dots [] (split p)
+
+let normalize p = of_components (components p)
 
 let join dir name =
   if is_absolute name then normalize name

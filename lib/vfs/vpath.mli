@@ -24,6 +24,10 @@ val normalize : string -> string
     (never above the root) and duplicate slashes.  Relative input is taken
     relative to the root. *)
 
+val components : string -> string list
+(** [split (normalize p)] without building the normalized string — what
+    path resolution walks. *)
+
 val normalize_under : cwd:string -> string -> string
 (** Like {!normalize}, but relative input is interpreted against [cwd]
     (itself an absolute path). *)

@@ -220,6 +220,28 @@ let test_roaring_equal_construction_paths () =
   in
   check_bool "range = streamed range" true (Fileset.equal r1 r2)
 
+(* The streaming constructor buffers a chunk's values and spills into a
+   bitmap past 1041 of them; either way it must produce the set, and the
+   canonical container shapes, that element-wise insertion produces. *)
+let test_roaring_stream_spill () =
+  let shape s =
+    let c = Fileset.container_stats s in
+    (c.Fileset.containers, c.arrays, c.bitmaps, c.run_containers)
+  in
+  List.iter
+    (fun (n, step, base) ->
+      let l = List.init n (fun i -> base + (step * i)) in
+      let streamed = Fileset.of_increasing_iter (fun f -> List.iter f l) in
+      let added = List.fold_left Fileset.add Fileset.empty l in
+      let what = Printf.sprintf "%d elements, step %d, from %d" n step base in
+      check_list what l (Fileset.elements streamed);
+      check_bool (what ^ ": equal") true (Fileset.equal streamed added);
+      check_bool (what ^ ": same shapes") true (shape streamed = shape added))
+    [
+      (1040, 2, 0); (1041, 2, 0); (1042, 2, 0); (4096, 3, 10); (4097, 3, 10); (5000, 1, 65_000);
+      (2000, 7, 60_000); (3, 1, 131_070); (1, 1, 0);
+    ]
+
 let test_roaring_of_bitset () =
   let b = Bitset.of_list [ 0; 63; 64; 100_000 ] in
   let s = Fileset.of_bitset b in
@@ -474,6 +496,7 @@ let () =
           Alcotest.test_case "galloping intersection" `Quick test_roaring_gallop;
           Alcotest.test_case "construction paths agree" `Quick
             test_roaring_equal_construction_paths;
+          Alcotest.test_case "stream spill" `Quick test_roaring_stream_spill;
           Alcotest.test_case "of_bitset" `Quick test_roaring_of_bitset;
           Alcotest.test_case "builder" `Quick test_roaring_builder;
           Alcotest.test_case "byte_size" `Quick test_roaring_byte_size;

@@ -91,9 +91,7 @@ let prop_search_matches_grep =
   QCheck.Test.make ~name:"search equals a grep over the fs" ~count:200 arb_ops
     (fun ops ->
       let t = build ops in
-      let reader p =
-        try Some (Fs.read_file (Hac.fs t) p) with Hac_vfs.Errno.Error _ -> None
-      in
+      let reader = Hac_remote.Remote_fs.fs_reader (Hac.fs t) in
       List.for_all
         (fun w ->
           let found =

@@ -24,7 +24,8 @@ let make_index ?(block_size = 1) ?(stem = false) () =
   List.iter (fun (path, content) -> ignore (Index.add_document idx ~path ~content)) docs;
   idx
 
-let reader_of docs path = List.assoc_opt path docs
+let reader_of docs =
+  { Search.read = (fun path -> List.assoc_opt path docs); may_read = (fun path -> List.mem_assoc path docs) }
 
 let ids idx paths =
   List.filter_map (fun p -> Index.doc_of_path idx p) paths |> List.sort compare
@@ -126,7 +127,7 @@ let test_rebuild_reclaims () =
   Index.remove_path idx "/a.txt";
   (* Stale bits: "fox" still has a.txt's block. *)
   Index.rebuild idx (fun id ->
-      Option.bind (Index.doc_path idx id) (reader_of docs));
+      Option.bind (Index.doc_path idx id) (reader_of docs).Search.read);
   check_list "fox gone after rebuild" [] (Fileset.elements (Index.candidate_docs idx "fox"));
   check_int "live docs kept" 3 (Index.doc_count idx)
 
@@ -250,7 +251,7 @@ let test_matching_lines () =
   let idx = Index.create ~stem:false () in
   let content = "alpha one\nbeta two\nalpha three\n" in
   ignore (Index.add_document idx ~path:"/m.txt" ~content);
-  let r p = if p = "/m.txt" then Some content else None in
+  let r = reader_of [ ("/m.txt", content) ] in
   Alcotest.(check (list (pair int string)))
     "alpha lines"
     [ (1, "alpha one"); (3, "alpha three") ]
@@ -258,7 +259,7 @@ let test_matching_lines () =
 
 let test_reader_failure_filters () =
   let idx = make_index () in
-  let no_reader _ = None in
+  let no_reader = { Search.read = (fun _ -> None); may_read = (fun _ -> false) } in
   check_list "unreadable docs drop out" []
     (Fileset.elements (Search.search_word idx no_reader "quick"))
 

@@ -197,6 +197,28 @@ let test_hac_indexing_as_owner_sees_all () =
     [ "/docs/open.txt"; "/docs/secret.txt" ]
     (transient_targets t "/apples")
 
+(* Postings the index vouches for spare verification its content read, not
+   its permission check: a document indexed under alice's credentials must
+   not match for bob once he cannot read it. *)
+let test_hac_settled_postings_checked_for_reader () =
+  let t = hac_world () in
+  Hac.settle t (* as alice: both documents indexed *);
+  Fs.set_user (Hac.fs t) bob;
+  Hac.smkdir t "/apples" "apple";
+  Alcotest.(check (list string))
+    "bob sees only the readable file" [ "/docs/open.txt" ]
+    (transient_targets t "/apples")
+
+let test_hac_chmod_after_settle () =
+  let t = hac_world () in
+  Hac.settle t;
+  (* chmod changes no content and dirties nothing: the postings still name
+     the file, and only the permission check keeps it from matching. *)
+  Fs.chmod (Hac.fs t) "/docs/open.txt" 0o600;
+  Fs.set_user (Hac.fs t) bob;
+  Hac.smkdir t "/apples" "apple";
+  Alcotest.(check (list string)) "nothing readable" [] (transient_targets t "/apples")
+
 (* -- properties -------------------------------------------------------------------------- *)
 
 (* access(2) must predict exactly whether reads and writes succeed, for any
@@ -284,6 +306,10 @@ let () =
             test_hac_indexing_respects_permissions;
           Alcotest.test_case "owner indexes everything" `Quick
             test_hac_indexing_as_owner_sees_all;
+          Alcotest.test_case "settled postings still permission-checked" `Quick
+            test_hac_settled_postings_checked_for_reader;
+          Alcotest.test_case "chmod after settle hides the file" `Quick
+            test_hac_chmod_after_settle;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
