@@ -1849,10 +1849,18 @@ let store_section () =
         let load img =
           match Image.load img with Ok fs -> fs | Error e -> failwith e
         in
-        let mode = ref `Full in
+        let mode = ref `Full and adopted = ref 0 and reevaluated = ref 0 in
         let fast_once () =
           let t, m = Recover.mount ~stem:false (load fast_img) in
           mode := m;
+          (* Per mount: each mount is a fresh instance with fresh counters. *)
+          let counter name =
+            match Metrics.find (Hac.metrics t) name with
+            | Some (Metrics.Counter_value n) -> n
+            | _ -> 0
+          in
+          adopted := counter "recover.results_adopted";
+          reevaluated := counter "recover.results_reevaluated";
           Hac.shutdown ~graceful:false t
         in
         let full_once () =
@@ -1862,22 +1870,24 @@ let store_section () =
         in
         let fast = List.init reps (fun _ -> Timer.time_only fast_once) in
         let full = List.init reps (fun _ -> Timer.time_only full_once) in
-        (records, !mode, percentile fast 0.5, percentile full 0.5))
+        (records, !mode, percentile fast 0.5, percentile full 0.5, (!adopted, !reevaluated)))
       sizes
   in
-  Printf.printf "  %-10s %-6s %14s %14s %10s\n" "records" "mode" "fast p50 (ms)"
-    "full p50 (ms)" "speedup";
+  Printf.printf "  %-10s %-6s %14s %14s %10s %8s %8s\n" "records" "mode" "fast p50 (ms)"
+    "full p50 (ms)" "speedup" "adopted" "re-eval";
   List.iter
-    (fun (records, mode, fast, full) ->
-      Printf.printf "  %-10d %-6s %14.3f %14.3f %9.1fx\n" records
+    (fun (records, mode, fast, full, (adopted, reevaluated)) ->
+      Printf.printf "  %-10d %-6s %14.3f %14.3f %9.1fx %8d %8d\n" records
         (match mode with `Fast -> "fast" | `Full -> "FULL")
         (fast *. 1000.) (full *. 1000.)
-        (full /. fast))
+        (full /. fast) adopted reevaluated)
     mount_points;
-  let all_fast = List.for_all (fun (_, m, _, _) -> m = `Fast) mount_points in
+  let all_fast = List.for_all (fun (_, m, _, _, _) -> m = `Fast) mount_points in
   shape "every checkpointed cold mount takes the fast path" all_fast;
+  shape "every fast mount adopts its persisted result"
+    (List.for_all (fun (_, _, _, _, counts) -> counts = (1, 0)) mount_points);
   let last l = List.nth l (List.length l - 1) in
-  let _, _, fast_max, full_max = last mount_points in
+  let _, _, fast_max, full_max, _ = last mount_points in
   if not (smoke || quick) then
     shape "fast mount >= 5x full replay at max history" (full_max >= 5. *. fast_max);
   (* The cache bound: settle a corpus 4x the byte budget through the tier;
@@ -1915,13 +1925,14 @@ let store_section () =
     (if smoke then "smoke" else if quick then "quick" else "full");
   Printf.bprintf b "  \"mounts\": [\n";
   List.iteri
-    (fun i (records, mode, fast, full) ->
+    (fun i (records, mode, fast, full, (adopted, reevaluated)) ->
       Printf.bprintf b
         "    { \"journal_records\": %d, \"fast_path\": %b, \"fast_mount_p50_s\": %.6f, \
-         \"full_replay_p50_s\": %.6f, \"mount_speedup\": %.3f }%s\n"
+         \"full_replay_p50_s\": %.6f, \"mount_speedup\": %.3f, \"results_adopted\": %d, \
+         \"results_reevaluated\": %d }%s\n"
         records
         (mode = `Fast)
-        fast full (full /. fast)
+        fast full (full /. fast) adopted reevaluated
         (if i = List.length mount_points - 1 then "" else ","))
     mount_points;
   Printf.bprintf b "  ],\n";

@@ -292,7 +292,7 @@ let of_fs ?block_size ?stem ?transducer ?auto_sync ?reindex_every fs =
      metadata mentions, so nothing we register can alias a previous life's
      identifiers (stale structure files must stay unreadable, and a crash
      during recovery must never mix two incarnations' records). *)
-  Uidmap.reserve ctx.uids (Journal.max_uid fs);
+  Uidmap.reserve ctx.uids (Journal.max_uid fs (Journal.read_chain fs));
   (* Adopt existing content: register directories, index files.  The
      metadata area is HAC's own and stays out of the index. *)
   Fs.walk fs Vpath.root (fun path st ->
@@ -314,8 +314,15 @@ let of_fs ?block_size ?stem ?transducer ?auto_sync ?reindex_every fs =
    a missing or epoch-stale document table, a store lineage mismatch —
    aborts with [Error], and the caller falls back to the full
    {!of_fs} + {!Recover.reload_report} oracle. *)
+type adopted = {
+  hac : t;
+  chain : Journal.chain;
+  replay : Journal.replay;
+  delta : Sync.delta;
+}
+
 let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget fs :
-    (t * (int * string) list, string) result =
+    (adopted, string) result =
   let chain = Journal.read_chain fs in
   match chain.Journal.checkpoint with
   | None -> Error "no readable checkpoint"
@@ -340,7 +347,7 @@ let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget f
             with
             | Error e -> Error e
             | Ok store ->
-                Uidmap.reserve ctx.uids (Journal.max_uid fs);
+                Uidmap.reserve ctx.uids (Journal.max_uid fs chain);
                 let by_path = Hashtbl.create 256 in
                 Hashtbl.iter
                   (fun uid p -> Hashtbl.replace by_path p uid)
@@ -375,7 +382,7 @@ let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget f
                               Ctx.mark_dirty ctx path)
                       | Event.Link -> ());
                 (* The journaled dirty delta (F records): re-read exactly
-                   the paths touched since the last settle.  A source that
+                   the paths touched since the checkpoint.  A source that
                    vanished (delete, rename away) was simply never adopted
                    above — nothing to forget. *)
                 Hashtbl.iter
@@ -392,7 +399,12 @@ let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget f
                   ~cost:(Hac_store.Store.cold_cost store)
                   ~words:(fun () -> Hac_store.Store.cold_words store);
                 ctx.store <- Some store;
-                Ok (setup ctx, Journal.semantic_entries r)))
+                (* Index the delta now, so links to files created since the
+                   checkpoint resolve to ids when the semantic structures
+                   are restored; the scope pass over it ends the mount
+                   ({!adopt_results}). *)
+                let _, delta = Sync.reindex_with_delta ctx () in
+                Ok { hac = setup ctx; chain; replay = r; delta }))
 
 let shutdown ?(graceful = true) (ctx : Ctx.t) =
   if ctx.alive then begin
@@ -778,7 +790,9 @@ let prohibit_target (ctx : Ctx.t) ~dir ~target =
    its physical links already exist in the file system; [permanent] names
    the links the previous life classified permanent, everything else present
    is adopted as transient, and [prohibited] target keys are restored before
-   the first re-evaluation so nothing sneaks back in. *)
+   the first re-evaluation so nothing sneaks back in.  Nothing is evaluated
+   here: the caller restores every directory first, then re-evaluates (or,
+   at a fast mount, adopts) them in dependency order. *)
 let restore_semdir (ctx : Ctx.t) path ~query ~permanent ~prohibited =
   let path = Vpath.normalize path in
   let q = parse_query ctx query in
@@ -819,11 +833,26 @@ let restore_semdir (ctx : Ctx.t) path ~query ~permanent ~prohibited =
   Semdir.set_materialized sd (!adopted > 0);
   Hashtbl.replace ctx.semdirs uid sd;
   match Sync.recompute_deps ctx sd with
-  | Ok () -> Sync.sync_from ctx uid
+  | Ok () -> ()
   | Error cycle ->
       Hashtbl.remove ctx.semdirs uid;
       fail "restored query would create a dependency cycle through uids %s"
         (String.concat " -> " (List.map string_of_int cycle))
+
+(* The rest of a fast mount, once {!fast_adopt} indexed the delta and every
+   directory was restored: adopt the results the images vouch for
+   ({!Sync.adopt_result}), re-evaluate the others dependencies first, then
+   settle the delta over all of them and end with the settle's barrier. *)
+let adopt_results (ctx : Ctx.t) (delta : Sync.delta) =
+  let i = ctx.instr in
+  Hashtbl.iter
+    (fun _ sd ->
+      if Sync.adopt_result ctx sd ~touched:delta.Sync.touched then
+        Hac_obs.Metrics.incr i.Instr.recover_results_adopted)
+    ctx.semdirs;
+  Hac_obs.Metrics.incr ~by:(Sync.sync_unsynced ctx) i.Instr.recover_results_reevaluated;
+  Sync.sync_delta ctx delta;
+  Fs.fsync ctx.fs (journal_path ctx)
 
 let resolve_target (ctx : Ctx.t) path =
   (* A link inside a semantic directory may not be materialised yet. *)

@@ -46,6 +46,17 @@ val of_fs :
 (** Adopt an existing file system: registers every directory in the global
     uid map and indexes every regular file. *)
 
+type adopted = {
+  hac : t;  (** The instance, storage tier attached. *)
+  chain : Journal.chain;  (** The journal chain, read once. *)
+  replay : Journal.replay;
+      (** Its replay: the uid map, the semantic flags, the dirty paths. *)
+  delta : Sync.delta;
+      (** The journaled dirty delta, already indexed — what the scope pass
+          ending the mount must settle ({!adopt_results}). *)
+}
+(** What {!fast_adopt} rebuilt, for the caller to finish the mount. *)
+
 val fast_adopt :
   ?block_size:int ->
   ?stem:bool ->
@@ -54,21 +65,30 @@ val fast_adopt :
   ?reindex_every:int ->
   ?budget:int ->
   Hac_vfs.Fs.t ->
-  (t * (int * string) list, string) result
+  (adopted, string) result
 (** O(delta) adoption of a tree a previous store-enabled life checkpointed:
     rebuilds the namespace from the journal's uid map and the index
     skeleton from the store's document table, touching only metadata —
     file bodies are never read or re-tokenized, and postings stay on disk,
     demand-faulted per term ({!Hac_index.Index.set_cold}).  Paths the
-    journal flagged dirty ([F] records) are queued for re-read on the
-    first settle.  Returns the instance (with the storage tier attached)
-    and the chain's semantic [(uid, path)] entries, whose structure files
-    the caller should restore ({!Recover.mount} drives this and falls back
-    to {!of_fs} + {!Recover.reload_report} on [Error]).  Refuses —
-    [Error reason] — when there is no readable checkpoint, the tail
-    carries damaged or namespace-surgery records, or the document table or
-    store manifest is missing, damaged, or from another epoch/lineage.
-    [budget] bounds the block cache as in {!enable_store}. *)
+    journal flagged dirty ([F] records) and files the table does not know
+    are re-read and indexed before it returns.  The caller restores the
+    semantic structures of the replay's semantic entries
+    ({!restore_semdir}), then finishes with {!adopt_results}
+    ({!Recover.mount} drives this and falls back to {!of_fs} +
+    {!Recover.reload_report} on [Error]).  Refuses — [Error reason] — when
+    there is no readable checkpoint, the tail carries damaged or
+    namespace-surgery records, or the document table or store manifest is
+    missing, damaged, or from another epoch/lineage.  [budget] bounds the
+    block cache as in {!enable_store}. *)
+
+val adopt_results : t -> Sync.delta -> unit
+(** Finish a fast mount whose semantic directories are restored: adopt the
+    persisted result of every directory its images vouch for
+    ({!Sync.adopt_result}, counted in [recover.results_adopted]),
+    re-evaluate the others dependencies first
+    ([recover.results_reevaluated]), then settle the delta {!fast_adopt}
+    indexed and fsync the journal, as {!settle} ends. *)
 
 val shutdown : ?graceful:bool -> t -> unit
 (** Stop this instance: it no longer observes the file system (simulating
@@ -252,9 +272,13 @@ val restore_semdir :
 (** Reinstall a semantic directory from recovered metadata (see
     {!Recover.reload}): the directory must already exist physically;
     symlinks named in [permanent] are adopted as permanent, other present
-    symlinks as transient, [prohibited] target keys are restored, then the
-    query is installed and re-evaluated.  Raises {!Hac_error} if the
-    directory is already semantic or the query is bad. *)
+    symlinks as transient (their local targets form the result),
+    [prohibited] target keys are restored, and the query and its dependency
+    edges are installed.  Nothing is evaluated: once every directory is
+    restored the caller re-evaluates them ({!sync_all}) or, at a fast mount,
+    adopts what the images vouch for ({!adopt_results}).  Raises
+    {!Hac_error} if the directory is already semantic, the query is bad or
+    it would close a dependency cycle. *)
 
 val sact : t -> string -> (int * string) list
 (** [sact t link_path] retrieves the information in the linked file that

@@ -19,6 +19,8 @@ type t = {
   recover_checkpoint_age : Metrics.gauge;
   recover_records_skipped : Metrics.counter;
   recover_dirs_skipped : Metrics.counter;
+  recover_results_adopted : Metrics.counter;
+  recover_results_reevaluated : Metrics.counter;
   planner_chains : Metrics.counter;
   planner_reordered : Metrics.counter;
   planner_cost_saved : Metrics.counter;
@@ -85,6 +87,8 @@ let create ~now () =
     recover_checkpoint_age = Metrics.gauge m "recover.checkpoint_age";
     recover_records_skipped = Metrics.counter m "recover.records_skipped";
     recover_dirs_skipped = Metrics.counter m "recover.dirs_skipped";
+    recover_results_adopted = Metrics.counter m "recover.results_adopted";
+    recover_results_reevaluated = Metrics.counter m "recover.results_reevaluated";
     planner_chains = Metrics.counter m "planner.optimize.chains";
     planner_reordered = Metrics.counter m "planner.optimize.reordered";
     planner_cost_saved = Metrics.counter m "planner.optimize.cost_saved";

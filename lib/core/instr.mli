@@ -35,6 +35,13 @@ type t = {
       (** Corrupt or malformed journal records skipped during replay. *)
   recover_dirs_skipped : Hac_obs.Metrics.counter;
       (** Recovery-plan directories that could not be restored. *)
+  recover_results_adopted : Hac_obs.Metrics.counter;
+      (** Directories a fast mount restored on their persisted result, with
+          no re-evaluation. *)
+  recover_results_reevaluated : Hac_obs.Metrics.counter;
+      (** Directories a fast mount restored whose result it re-evaluated:
+          the images could not vouch for it, or it depends on a semantic
+          directory. *)
   planner_chains : Hac_obs.Metrics.counter;
   planner_reordered : Hac_obs.Metrics.counter;
   planner_cost_saved : Hac_obs.Metrics.counter;

@@ -267,7 +267,7 @@ let replay_chain chain =
 (* Highest uid any on-disk metadata mentions — consolidated or not, live
    structure files included — so a recovering instance can allocate its own
    uids strictly above everything a previous life left behind. *)
-let max_uid fs =
+let max_uid fs chain =
   let best = ref 0 in
   let see u = if u > !best then best := u in
   let scan_text text =
@@ -283,7 +283,7 @@ let max_uid fs =
   in
   let segs, _ = scan fs in
   List.iter (fun (_, p) -> Option.iter scan_text (read_opt fs p)) segs;
-  (match (read_chain fs).checkpoint with
+  (match chain.checkpoint with
   | Some (_, img) -> Option.iter scan_text (read_opt img "/dirs.log")
   | None -> ());
   (if Fs.is_dir fs meta_root then

@@ -135,7 +135,9 @@ val read_chain : Hac_vfs.Fs.t -> chain
 val replay_chain : chain -> replay
 (** Replay the checkpoint's consolidated log, then every newer segment. *)
 
-val max_uid : Hac_vfs.Fs.t -> int
-(** Highest uid mentioned anywhere in the on-disk metadata (segments,
-    checkpoint, structure files) — a recovering instance allocates its own
-    uids strictly above this so they never alias a previous life's. *)
+val max_uid : Hac_vfs.Fs.t -> chain -> int
+(** Highest uid mentioned anywhere in the on-disk metadata (every segment,
+    the chain's checkpoint, structure files) — a recovering instance
+    allocates its own uids strictly above this so they never alias a
+    previous life's.  Takes the chain {!read_chain} resolved, so the
+    checkpoint is loaded once per recovery. *)

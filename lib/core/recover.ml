@@ -110,11 +110,12 @@ let structures_of fs ~root uid =
         in
         Some (query, permanent, prohibited)
 
-(* Restore the given semantic [(uid, path)] entries' structures.  Snapshot
-   every candidate's structures first: restoring persists fresh metadata,
-   which must never be re-read as recovered input.  Live files are
-   preferred (they carry post-checkpoint settles); the checkpoint's copies
-   back them up when the live file was torn, rotted or lost. *)
+(* Restore the given semantic [(uid, path)] entries' structures, evaluating
+   nothing.  Snapshot every candidate's structures first: they must be read
+   as the crash left them, before anything persists fresh metadata.  Live
+   files are preferred (they carry post-checkpoint settles); the
+   checkpoint's copies back them up when the live file was torn, rotted or
+   lost. *)
 let restore_entries t (chain : Journal.chain) entries =
   let fs = Hac.fs t in
   let live_root = Journal.meta_root ^ "/" in
@@ -196,10 +197,13 @@ let reload t = (reload_report t).restored
 
 (* The O(delta) mount: try {!Hac.fast_adopt} — namespace and index skeleton
    from the checkpoint's reconstruction images, postings demand-faulted
-   from the store's segments — and fall back to the full oracle
-   ({!Hac.of_fs} + {!reload_report}, which re-reads and re-tokenizes every
-   document) whenever the images cannot vouch for the tree.  Either way
-   the instance comes back with the storage tier enabled. *)
+   from the store's segments, the journaled delta indexed — restore every
+   semantic directory, and let {!Hac.adopt_results} adopt the persisted
+   results the images vouch for before one scope pass settles the delta.
+   Fall back to the full oracle ({!Hac.of_fs} + {!reload_report}, which
+   re-reads and re-tokenizes every document and re-evaluates every query)
+   whenever the images cannot vouch for the tree.  Either way the instance
+   comes back with the storage tier enabled. *)
 let mount ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget fs =
   let t0 = Sys.time () in
   let finish t mode =
@@ -215,15 +219,15 @@ let mount ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget fs =
   match
     Hac.fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget fs
   with
-  | Ok (t, entries) ->
-      let chain, r = chain_replay t in
-      record_replay_metrics t chain r;
+  | Ok { Hac.hac = t; chain; replay; delta } ->
+      record_replay_metrics t chain replay;
       (* fast_adopt refused any chain with damaged records, so there are
          no skips to count on this path. *)
-      ignore (restore_entries t chain entries : int * int);
-      (* Process the journaled dirty delta now: the instance returns with
-         index and query results consistent with the tree. *)
-      Hac.settle t;
+      ignore (restore_entries t chain (Journal.semantic_entries replay) : int * int);
+      (* Adopt what the images vouch for, re-evaluate the rest, settle the
+         delta: the instance returns with index and query results
+         consistent with the tree. *)
+      Hac.adopt_results t delta;
       finish t `Fast
   | Error _reason ->
       let t = Hac.of_fs ?block_size ?stem ?transducer ?auto_sync ?reindex_every fs in

@@ -10,7 +10,8 @@
     + for every surviving directory with persisted structures, reinstall its
       query, reclassify its physical links (permanent vs transient) and
       restore its prohibitions via {!Hac.restore_semdir};
-    + re-evaluate everything.
+    + re-evaluate everything in one pass — or, at a fast {!mount}, adopt
+      the persisted results the images vouch for and re-evaluate the rest.
 
     Typical use: [let t = Hac.of_fs fs in Recover.reload t]. *)
 
@@ -66,10 +67,18 @@ val mount :
   Hac.t * [ `Fast | `Full ]
 (** Bring a tree back up with the storage tier enabled.  [`Fast] is the
     O(delta) path ({!Hac.fast_adopt}): namespace and index skeleton rebuilt
-    from the checkpoint's reconstruction images, semantic structures
-    restored (live files preferred, checkpoint copies as fallback), then
-    one settle over the journaled dirty delta — no document is re-read
-    beyond that delta, postings load lazily from the store's segments.
+    from the checkpoint's reconstruction images and the journaled dirty
+    delta indexed, semantic structures restored (live files preferred,
+    checkpoint copies as fallback), then {!Hac.adopt_results}: every
+    directory whose persisted [sd-N.result] the images vouch for keeps it
+    unevaluated ([recover.results_adopted]) — its header digests the
+    installed query, permanent links and prohibitions, its bitmap agrees
+    with its links outside the delta, and it depends on no semantic
+    directory — the others are re-evaluated dependencies first
+    ([recover.results_reevaluated]), and one scope pass settles the delta
+    over all of them.  No document is re-read beyond that delta, no query
+    runs over the whole corpus for an adopted directory, and postings load
+    lazily from the store's segments.
     [`Full] is the fallback oracle — {!Hac.of_fs} + {!reload_report}, then
     {!Hac.enable_store} on a fresh lineage — taken whenever the images
     cannot vouch for the tree (no readable checkpoint, damaged tail

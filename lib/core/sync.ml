@@ -293,52 +293,105 @@ let meta_root = "/.hac"
 (* Each structure lives in its own file, as the paper stores them as
    separate on-disk objects: the query, the link sets, the prohibitions and
    the query-result bitmap. *)
-let meta_files uid =
-  List.map
-    (fun suffix -> Printf.sprintf "%s/sd-%d.%s" meta_root uid suffix)
-    [ "query"; "links"; "proh"; "result" ]
+let meta_file uid suffix = Printf.sprintf "%s/sd-%d.%s" meta_root uid suffix
 
-let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
+let meta_files uid = List.map (meta_file uid) [ "query"; "links"; "proh"; "result" ]
+
+(* A directory's structure files as [persist_semdir] writes them, rendered
+   once per persist.  [header] heads the result file: a digest of the
+   query, the permanent links and the prohibitions the result was computed
+   for.  Transient links stay out of it — materialisation adds them
+   without persisting — so it depends on nothing but the directory's own
+   persisted state, and equal state still persists as equal bytes. *)
+type rendered = {
+  query_data : string;
+  links_data : string;
+  proh_data : string;
+  header : string;
+}
+
+let result_magic = "HACRES1 "
+
+let render (ctx : Ctx.t) (sd : Semdir.t) =
   (* Directory references are rendered through the global map: stored
      queries must survive into a future instance whose uids differ. *)
   let query_data =
     Ast.to_string ~path_of_uid:(Uidmap.path_of_uid ctx.uids) sd.Semdir.query ^ "\n"
   in
-  let links_data =
-    let b = Buffer.create 128 in
-    List.iter
-      (fun l ->
-        Buffer.add_string b
-          (Printf.sprintf "%s %s %s\n" (Link.cls_name l.Link.cls) l.Link.name
-             (Link.symlink_value l.Link.target)))
-      (Semdir.all_links sd);
-    List.iter
-      (fun r -> Buffer.add_string b ("remote " ^ r.Semdir.rr_ns ^ " " ^ r.Semdir.rr_uri ^ "\n"))
-      sd.Semdir.transient_remote;
-    Buffer.contents b
-  in
+  let links = Buffer.create 128 and permanent = Buffer.create 64 in
+  List.iter
+    (fun l ->
+      let line =
+        Printf.sprintf "%s %s %s\n" (Link.cls_name l.Link.cls) l.Link.name
+          (Link.symlink_value l.Link.target)
+      in
+      Buffer.add_string links line;
+      if l.Link.cls = Link.Permanent then Buffer.add_string permanent line)
+    (Semdir.all_links sd);
+  List.iter
+    (fun r ->
+      Buffer.add_string links ("remote " ^ r.Semdir.rr_ns ^ " " ^ r.Semdir.rr_uri ^ "\n"))
+    sd.Semdir.transient_remote;
   let proh_data = String.concat "\n" (Semdir.prohibited_keys sd) in
-  (* The query-result bitmap, one bit per document id up to the largest
-     member: the paper's N/8 bytes, sized by the result itself, so equal
-     results persist as equal bytes whenever they were written and no
-     member past the live-document count is dropped. *)
-  let result_data =
-    let local = sd.Semdir.transient_local in
-    let width = match Fileset.max_elt_opt local with Some m -> (m / 8) + 1 | None -> 0 in
-    let bitmap = Bytes.make width '\000' in
-    Fileset.iter
-      (fun id ->
-        let byte = Char.code (Bytes.get bitmap (id / 8)) in
-        Bytes.set bitmap (id / 8) (Char.chr (byte lor (1 lsl (id mod 8)))))
-      local;
-    Bytes.to_string bitmap
+  let permanent = Buffer.contents permanent in
+  let framed =
+    Printf.sprintf "%d:%s%d:%s%d:%s" (String.length query_data) query_data
+      (String.length permanent) permanent (String.length proh_data) proh_data
   in
+  {
+    query_data;
+    links_data = Buffer.contents links;
+    proh_data;
+    header = result_magic ^ Digest.to_hex (Digest.string framed);
+  }
+
+(* The query-result bitmap, one bit per document id up to the largest
+   member: the paper's N/8 bytes, sized by the result itself, so equal
+   results persist as equal bytes whenever they were written and no member
+   past the live-document count is dropped. *)
+let encode_bitmap local =
+  let width = match Fileset.max_elt_opt local with Some m -> (m / 8) + 1 | None -> 0 in
+  let bitmap = Bytes.make width '\000' in
+  Fileset.iter
+    (fun id ->
+      let byte = Char.code (Bytes.get bitmap (id / 8)) in
+      Bytes.set bitmap (id / 8) (Char.chr (byte lor (1 lsl (id mod 8)))))
+    local;
+  Bytes.to_string bitmap
+
+(* Total over any bytes: a payload without a well-formed header line —
+   damaged, or written before results carried one — vouches for nothing. *)
+let decode_result payload =
+  let header_len = String.length result_magic + 32 in
+  if
+    String.length payload <= header_len
+    || payload.[header_len] <> '\n'
+    || not (String.starts_with ~prefix:result_magic payload)
+  then None
+  else
+    let base = header_len + 1 in
+    let set =
+      Fileset.of_increasing_iter (fun add ->
+          for i = base to String.length payload - 1 do
+            let byte = Char.code payload.[i] in
+            if byte <> 0 then
+              for bit = 0 to 7 do
+                if byte land (1 lsl bit) <> 0 then add ((8 * (i - base)) + bit)
+              done
+          done)
+    in
+    Some (String.sub payload 0 header_len, set)
+
+let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
+  let r = render ctx sd in
+  let result_data = r.header ^ "\n" ^ encode_bitmap sd.Semdir.transient_local in
   Ctx.with_maintenance ctx (fun () ->
       if not (Fs.is_dir ctx.fs meta_root) then Fs.mkdir_p ctx.fs meta_root;
       (* Sealed whole, so a torn write leaves a detectably-damaged file
          rather than a silently truncated query or link set. *)
       List.iter2 (Fs.write_file ctx.fs) (meta_files sd.Semdir.uid)
-        (List.map Hac_store.Seal.seal_blob [ query_data; links_data; proh_data; result_data ]))
+        (List.map Hac_store.Seal.seal_blob
+           [ r.query_data; r.links_data; r.proh_data; result_data ]))
 
 let unpersist_semdir (ctx : Ctx.t) uid =
   Ctx.with_maintenance ctx (fun () ->
@@ -859,6 +912,91 @@ let sync_all ?pool (ctx : Ctx.t) =
       flush_pass ctx pass;
       Hac_obs.Metrics.observe i.Instr.pass_dirs (float_of_int n_dirs);
       Hac_obs.Trace.set_attr_int i.Instr.tracer "dirs" n_dirs)
+
+(* -- adopting persisted results at a fast mount ---------------------------
+
+   A restored directory's [sd-N.result] is its last persisted result, and
+   its transient links, once materialised, the physical record of it.
+   They vouch for the result outside the journaled delta when three things
+   hold:
+
+   + the header digests exactly the installed query, permanent links and
+     prohibitions — a crash between a persist's query and result writes, or
+     a torn or pre-header file, leaves no such header;
+   + the bitmap, masked to live documents outside [touched], equals the
+     transient links outside [touched], and the transient links name live
+     local documents, one link per document (a re-evaluation would drop an
+     alias).  Every live id at or above the document table's [next] was
+     handed to a delta file, so the mask also drops the ids a previous
+     life assigned after its checkpoint.  A directory without a single
+     link was never materialised (or lost every link, which a
+     re-evaluation would not bring back before the next access either):
+     its result lives in the bitmap alone;
+   + no semantic directory feeds the result: neither a semantic parent nor
+     a dirref target.  A crash between two persists of one settle can
+     leave a nested result computed against its parent's older scope, and
+     neither witness above would notice.
+
+   The adopted result is the masked bitmap — equal to the links outside
+   the delta — plus the delta's linked documents, which the delta pass
+   ending the mount re-derives anyway. *)
+let adopt_result (ctx : Ctx.t) (sd : Semdir.t) ~touched =
+  let outside s = Fileset.diff s touched in
+  let independent =
+    Ast.dir_uids sd.Semdir.query = []
+    &&
+    match parent_uid ctx sd.Semdir.uid with
+    | Some p -> Ctx.semdir_of_uid ctx p = None
+    | None -> true
+  in
+  let vouched () =
+    match Fs.read_file ctx.fs (meta_file sd.Semdir.uid "result") with
+    | exception Hac_vfs.Errno.Error _ -> None
+    | data -> (
+        match Option.bind (Hac_store.Seal.unseal_file data) decode_result with
+        | Some (header, bitmap) when header = (render ctx sd).header ->
+            Some (outside (Fileset.inter bitmap (Index.universe ctx.index)))
+        | Some _ | None -> None)
+  in
+  let links_agree result =
+    let transient = Semdir.links_of_cls sd Link.Transient in
+    List.for_all
+      (fun l ->
+        match l.Link.target with
+        | Link.Local p -> Index.doc_of_path ctx.index p <> None
+        | Link.Remote _ -> false)
+      transient
+    && List.length transient = Fileset.cardinal sd.Semdir.transient_local
+    && Fileset.equal result (outside sd.Semdir.transient_local)
+  in
+  let adopted =
+    match if independent then vouched () else None with
+    | Some result when not sd.Semdir.materialized ->
+        Semdir.set_transient_local sd result;
+        true
+    | Some result -> links_agree result
+    | None -> false
+  in
+  if adopted then begin
+    ctx.sync_stamp <- ctx.sync_stamp + 1;
+    Semdir.mark_synced sd ctx.sync_stamp
+  end;
+  adopted
+
+let sync_unsynced (ctx : Ctx.t) =
+  let pass = fresh_pass ctx in
+  let n =
+    List.fold_left
+      (fun n uid ->
+        match Ctx.semdir_of_uid ctx uid with
+        | Some sd when sd.Semdir.last_synced = 0 ->
+            ignore (resync_dir_in pass ctx uid);
+            n + 1
+        | Some _ | None -> n)
+      0 (Depgraph.topo_all ctx.deps)
+  in
+  flush_pass ctx pass;
+  n
 
 (* -- data consistency (section 2.4) --------------------------------------- *)
 

@@ -43,12 +43,35 @@ val meta_root : string
 
 val meta_files : int -> string list
 (** Paths of a directory's structure files ([sd-<uid>.query/.links/.proh/
-    .result]) under {!meta_root}, by uid. *)
+    .result]) under {!meta_root}, by uid, in that order. *)
 
 val persist_semdir : Ctx.t -> Semdir.t -> unit
 (** Write a semantic directory's structures (query, link sets, prohibitions
     and the paper's N/8-byte result bitmap) to its metadata file.  Performed
-    after every re-evaluation, mirroring the paper's disk I/O. *)
+    after every re-evaluation, mirroring the paper's disk I/O.  The result
+    file starts with a header line digesting the query, permanent links and
+    prohibitions the bitmap was computed for (see [docs/recovery.md]). *)
+
+val decode_result : string -> (string * Hac_bitset.Fileset.t) option
+(** The header line and bitmap of an unsealed [sd-N.result] payload, or
+    [None] — it vouches for nothing — when the payload has no well-formed
+    header (damaged, or written before results carried one).  Total: never
+    raises, whatever the bytes. *)
+
+val adopt_result : Ctx.t -> Semdir.t -> touched:Hac_bitset.Fileset.t -> bool
+(** At a fast mount, after the journaled delta was indexed (its documents
+    are [touched]) and the directory's structures were installed: mark the
+    directory synced on the result its persisted [sd-N.result] and its
+    links vouch for, and return [true]; or leave it untouched and return
+    [false].  A result is adopted only when its header matches the installed
+    structures, its bitmap agrees with the transient links outside
+    [touched] (one link per live local document), and the directory
+    depends on no semantic directory. *)
+
+val sync_unsynced : Ctx.t -> int
+(** Re-evaluate, in one pass and dependencies first, every semantic
+    directory never re-evaluated in this life — at a fast mount, those
+    {!adopt_result} refused.  Returns how many were re-evaluated. *)
 
 val unpersist_semdir : Ctx.t -> int -> unit
 (** Remove the metadata file of a (removed) directory, by uid. *)

@@ -494,6 +494,16 @@ let store_steps t =
     ("grow corpus", fun () -> Hac.write_file t "/docs/c.txt" "alpha beta mixed");
     ("checkpoint", fun () -> ignore (Hac.checkpoint t));
     ("post-checkpoint file", fun () -> Hac.write_file t "/docs/d.txt" "alpha again");
+    (* A nested directory, a dirref directory, curation and a requery: the
+       states a fast mount's result adoption must tell apart. *)
+    ("nested", fun () ->
+        Hac.smkdir t "/alpha/inner" "notes";
+        ignore (Hac.links t "/alpha"));
+    ("dirref", fun () -> Hac.smkdir t "/beta" "{/alpha} AND again");
+    ("curate", fun () ->
+        Hac.prohibit_target t ~dir:"/alpha" ~target:"/docs/c.txt";
+        ignore (Hac.add_permanent t ~dir:"/alpha" ~target:"/docs/b.txt"));
+    ("requery", fun () -> Hac.schquery t "/alpha/inner" "draft");
     ("overwrite", fun () -> Hac.write_file t "/docs/a.txt" "alpha revised now");
     ("rename file", fun () -> Hac.rename t ~src:"/docs/b.txt" ~dst:"/docs/bb.txt");
     ("compact", fun () -> ignore (Hac.compact t));

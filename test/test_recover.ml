@@ -134,6 +134,14 @@ let test_reload_restores_dirrefs () =
   Hac.shutdown t;
   let t2 = Hac.of_fs ~auto_sync:true (Hac.fs t) in
   check_int "both restored" 2 (Recover.reload t2);
+  (* Restoring evaluates nothing: the reload's one full pass does. *)
+  let count name =
+    match Hac_obs.Metrics.find (Hac.metrics t2) name with
+    | Some (Hac_obs.Metrics.Counter_value n) -> n
+    | _ -> -1
+  in
+  check_int "no per-directory pass" 0 (count "sync.from.count");
+  check_int "one full pass" 1 (count "sync.full.count");
   Alcotest.(check (option string))
     "dirref query recovered" (Some "{/alpha} AND beta") (Hac.sreadin t2 "/combo");
   check_list "dirref still evaluates" [ "/docs/a.txt" ] (transient_targets t2 "/combo");

@@ -310,6 +310,235 @@ let test_mount_falls_back_on_damage () =
   Alcotest.(check bool) "corrupt tail forces full replay" true (mode3 = `Full);
   Alcotest.(check string) "state survives the torn tail" expected2 (observe t3)
 
+(* -- Result adoption at a fast mount ---------------------------------------
+
+   A fast mount adopts a directory's persisted [sd-N.result] instead of
+   re-evaluating its query when the images vouch for it.  Each unit below
+   mounts a device through [Recover.mount] and compares the outcome with
+   the full-replay oracle ([Hac.of_fs] + [Recover.reload_report]) on a copy
+   of the same bytes. *)
+
+module Sync = Hac_core.Sync
+module Seal = Hac_store.Seal
+module Image = Hac_vfs.Image
+module Fileset = Hac_bitset.Fileset
+
+let counter t name =
+  match Hac_obs.Metrics.find (Hac.metrics t) name with
+  | Some (Hac_obs.Metrics.Counter_value n) -> n
+  | _ -> 0
+
+(* [build_corpus]'s two top-level directories (adoptable) plus a nested
+   one and a dirref one (always re-evaluated), then a post-checkpoint
+   delta — an overwrite and a new file — settled, with every directory
+   materialised unless [materialize] is false, and shut down cleanly. *)
+let adoption_device ?(materialize = true) () =
+  let fs = Fs.create () in
+  let t = build_corpus fs in
+  Hac.smkdir t "/s0/inner" "text";
+  Hac.smkdir t "/ref" "{/nest/s1} AND blue";
+  Hac.write_file t "/d0/a.txt" "now cyan red here\n";
+  Hac.write_file t "/nest/d2/late.txt" "a late blue entry\n";
+  Hac.settle t;
+  if materialize then List.iter (fun d -> ignore (Hac.links t d)) (Hac.semantic_dirs t);
+  Hac.shutdown ~graceful:true t;
+  fs
+
+let copy fs =
+  match Image.load (Image.dump fs) with Ok c -> c | Error e -> Alcotest.fail e
+
+let oracle fs =
+  let t = Hac.of_fs ~stem:false (copy fs) in
+  ignore (Recover.reload_report t : Recover.reload_report);
+  observe t
+
+(* The uid whose persisted query reads [query]. *)
+let uid_of_query fs query =
+  Fs.readdir fs "/.hac"
+  |> List.find_map (fun name ->
+         match Journal.sd_uid_of_name name with
+         | Some uid when Filename.check_suffix name ".query" -> (
+             match Seal.unseal_file (Fs.read_file fs ("/.hac/" ^ name)) with
+             | Some q when String.trim q = query -> Some uid
+             | Some _ | None -> None)
+         | Some _ | None -> None)
+  |> function
+  | Some uid -> uid
+  | None -> Alcotest.fail ("no persisted query " ^ query)
+
+(* What a crash between [persist_semdir]'s query and result writes leaves:
+   a new, intact query file beside the previous result. *)
+let rewrite_query fs ~from ~to_ =
+  Fs.write_file fs
+    (List.hd (Sync.meta_files (uid_of_query fs from)))
+    (Seal.seal_blob (to_ ^ "\n"))
+
+let mount_against_oracle fs =
+  let expected = oracle fs in
+  let t, mode = Recover.mount ~stem:false ~budget:4096 fs in
+  Alcotest.(check bool) "fast path" true (mode = `Fast);
+  Alcotest.(check string) "mount matches the full-replay oracle" expected (observe t);
+  t
+
+let check_counts t ~adopted ~reevaluated =
+  Alcotest.(check int) "results adopted" adopted (counter t "recover.results_adopted");
+  Alcotest.(check int) "results re-evaluated" reevaluated
+    (counter t "recover.results_reevaluated")
+
+(* /s0 and /nest/s1 adopted, whether their links are materialised or their
+   result lives in the bitmap alone; /s0/inner (semantic parent) and /ref
+   (dirref) re-evaluated. *)
+let test_adopts_eligible () =
+  List.iter
+    (fun materialize ->
+      let t = mount_against_oracle (adoption_device ~materialize ()) in
+      check_counts t ~adopted:2 ~reevaluated:2)
+    [ true; false ]
+
+let test_rewritten_query_reevaluated () =
+  let fs = adoption_device () in
+  rewrite_query fs ~from:"red" ~to_:"green";
+  let t = mount_against_oracle fs in
+  check_counts t ~adopted:1 ~reevaluated:3;
+  Alcotest.(check (list string))
+    "the new query's result" [ "/d0/b.txt" ]
+    (List.map (fun l -> Link.target_key l.Link.target) (Hac.links t "/s0"))
+
+let test_unlinked_transient_returns () =
+  let fs = adoption_device () in
+  (* Unlink, with no instance running, the link to a document outside the
+     delta — the persisted bitmap still holds it. *)
+  let name =
+    List.find
+      (fun n ->
+        let p = "/s0/" ^ n in
+        Fs.is_symlink fs p && Fs.readlink fs p = "/nest/d2/e.txt")
+      (Fs.readdir fs "/s0")
+  in
+  Fs.unlink fs ("/s0/" ^ name);
+  let t = mount_against_oracle fs in
+  check_counts t ~adopted:1 ~reevaluated:3;
+  Alcotest.(check bool) "the link is back" true
+    (List.exists
+       (fun l -> Link.target_key l.Link.target = "/nest/d2/e.txt")
+       (Hac.links t "/s0"))
+
+let test_aliased_transient_dropped () =
+  let fs = adoption_device () in
+  (* A second link to a member, made with no instance running. *)
+  Fs.symlink fs ~target:"/nest/d2/e.txt" ~link:"/s0/alias";
+  let t = mount_against_oracle fs in
+  check_counts t ~adopted:1 ~reevaluated:3
+
+let test_dirref_dependent_follows () =
+  let fs = adoption_device () in
+  rewrite_query fs ~from:"green OR blue" ~to_:"cyan";
+  let t = mount_against_oracle fs in
+  check_counts t ~adopted:1 ~reevaluated:3;
+  Alcotest.(check (list string))
+    "the dependent follows its target's new result" []
+    (List.map (fun l -> Link.target_key l.Link.target) (Hac.links t "/ref"))
+
+(* A random history on a store-enabled tree — checkpoints and compactions
+   among the writes, renames and queries of the twin above, some
+   directories materialised — then a fast mount of what it left, against
+   the full-replay oracle on the same bytes. *)
+let prop_mount_twin =
+  QCheck.Test.make ~name:"fast mount equals the full-replay oracle" ~count:100
+    QCheck.(
+      make
+        ~print:(fun (ops, _) -> String.concat " " (List.map pp_op ops))
+        Gen.(pair (list_size (int_range 10 40) gen_op) (int_bound 7)))
+    (fun (ops, shown) ->
+      let fs = Fs.create () in
+      let t = Hac.of_fs ~stem:false fs in
+      List.iter (Hac.mkdir_p t) [ "/d0"; "/nest/d1"; "/nest/d2" ];
+      Hac.enable_store ~budget:256 t;
+      List.iter
+        (fun batch ->
+          List.iter (apply t) batch;
+          Hac.settle t)
+        (batches (Checkpoint :: ops));
+      (* Materialise the directories the bit mask [shown] picks. *)
+      Array.iteri
+        (fun i d -> if shown land (1 lsl i) <> 0 then ignore (Hac.links t d))
+        sem_dirs;
+      Hac.shutdown ~graceful:false t;
+      let expected = oracle fs in
+      let m, _ = Recover.mount ~stem:false ~budget:256 fs in
+      observe m = expected)
+
+(* -- The result decoder is total ------------------------------------------- *)
+
+(* A real [sd-N.result] payload, unsealed. *)
+let real_payload =
+  lazy
+    (let fs = adoption_device () in
+     let file = List.nth (Sync.meta_files (uid_of_query fs "red")) 3 in
+     match Seal.unseal_file (Fs.read_file fs file) with
+     | Some p -> p
+     | None -> Alcotest.fail "persisted result does not unseal")
+
+let decodes s =
+  match Sync.decode_result s with Some _ | None -> true | exception _ -> false
+
+let prop_decoder_total =
+  QCheck.Test.make ~name:"arbitrary bytes never raise" ~count:500 QCheck.string decodes
+
+let prop_truncations_and_flips =
+  QCheck.Test.make ~name:"truncations and bit flips of a real payload never raise"
+    ~count:300
+    QCheck.(pair (int_bound 10_000) (int_bound 10_000))
+    (fun (cut, flip) ->
+      let p = Lazy.force real_payload in
+      let n = String.length p in
+      let cut = cut mod (n + 1) in
+      let truncated = String.sub p 0 cut in
+      let flipped =
+        let b = Bytes.of_string p in
+        let at = flip mod (8 * n) in
+        Bytes.set b (at / 8)
+          (Char.chr (Char.code (Bytes.get b (at / 8)) lxor (1 lsl (at mod 8))));
+        Bytes.to_string b
+      in
+      (* Cut inside the header line, a payload vouches for nothing. *)
+      decodes truncated && decodes flipped
+      && (cut > String.index p '\n' || Sync.decode_result truncated = None))
+
+let arb_members =
+  QCheck.(
+    map
+      (fun (xs, specials) -> List.sort_uniq compare (xs @ specials))
+      (pair (small_list (int_bound 300)) (small_list (oneofl [ 7; 8; 15; 16 ]))))
+
+let prop_round_trip =
+  QCheck.Test.make ~name:"persist then decode round-trips the result" ~count:200
+    arb_members (fun members ->
+      let ctx = Hac_core.Ctx.create (Fs.create ()) in
+      let sd = Hac_core.Semdir.create ~uid:3 Hac_query.Ast.All in
+      Hac_core.Semdir.set_transient_local sd (Fileset.of_list members);
+      Sync.persist_semdir ctx sd;
+      let file = List.nth (Sync.meta_files 3) 3 in
+      let payload = Seal.unseal_file (Fs.read_file ctx.Hac_core.Ctx.fs file) in
+      match Option.bind payload Sync.decode_result with
+      | Some (_, set) -> Fileset.elements set = members
+      | None -> false)
+
+(* The bitmap exactly as results were written before they carried a header. *)
+let headerless members =
+  let width = List.fold_left (fun w m -> max w ((m / 8) + 1)) 0 members in
+  let b = Bytes.make width '\000' in
+  List.iter
+    (fun m ->
+      let byte = Char.code (Bytes.get b (m / 8)) in
+      Bytes.set b (m / 8) (Char.chr (byte lor (1 lsl (m mod 8)))))
+    members;
+  Bytes.to_string b
+
+let prop_headerless_not_vouched =
+  QCheck.Test.make ~name:"a headerless result vouches for nothing" ~count:200 arb_members
+    (fun members -> Sync.decode_result (headerless members) = None)
+
 (* -- Segment damage: cold lookups degrade to the verified universe --------- *)
 
 let test_segment_damage_degrades_safely () =
@@ -385,6 +614,27 @@ let () =
           Alcotest.test_case "fast path parity" `Quick test_fast_mount_matches_full;
           Alcotest.test_case "damage falls back" `Quick test_mount_falls_back_on_damage;
         ] );
+      ( "adopt",
+        [
+          Alcotest.test_case "eligible results adopted" `Quick test_adopts_eligible;
+          Alcotest.test_case "rewritten query re-evaluated" `Quick
+            test_rewritten_query_reevaluated;
+          Alcotest.test_case "unlinked transient link returns" `Quick
+            test_unlinked_transient_returns;
+          Alcotest.test_case "aliased transient link dropped" `Quick
+            test_aliased_transient_dropped;
+          Alcotest.test_case "dirref dependent follows" `Quick
+            test_dirref_dependent_follows;
+        ] );
+      ( "mount twin", [ QCheck_alcotest.to_alcotest prop_mount_twin ] );
+      ( "decode",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_decoder_total;
+            prop_truncations_and_flips;
+            prop_round_trip;
+            prop_headerless_not_vouched;
+          ] );
       ( "degrade",
         [
           Alcotest.test_case "segment damage verified away" `Quick
