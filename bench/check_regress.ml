@@ -9,9 +9,8 @@
      keeps deterministic counts (commits, spans, journal records, alert
      counts) honest while leaving slack for representation drift;
    - wall-clock-derived values (keys ending in _s/_pct, speedups,
-     throughputs) and environment-dependent values (host_cores, the
-     work-stealing cache splits) are reported but never gated — timing on
-     a shared CI runner is not reproducible, counts are;
+     throughputs) are reported but never gated — timing on a shared CI
+     runner is not reproducible, counts are;
    - a key present in the baseline but missing from the fresh run is a
      regression (schema loss); new keys in the fresh run are fine.
 
@@ -164,14 +163,10 @@ let contains hay sub =
   let rec go i = i + n <= l && (String.sub hay i n = sub || go (i + 1)) in
   go 0
 
-(* Environment- or schedule-dependent keys: never gated. *)
-let env_keys = [ "host_cores"; "memo_hits"; "memo_misses"; "doc_hits"; "doc_misses" ]
-
 let ungated key =
   Filename.check_suffix key "_s"
   || Filename.check_suffix key "_pct"
   || key = "pct" || contains key "speedup" || contains key "per_s"
-  || List.mem key env_keys
 
 let problems = ref []
 let flag path msg = problems := Printf.sprintf "  %s: %s" path msg :: !problems

@@ -27,49 +27,18 @@ let quick = Array.exists (( = ) "quick") Sys.argv
 let smoke = Array.exists (( = ) "smoke") Sys.argv
 let json_only = Array.exists (( = ) "json") Sys.argv
 
-(* Where the machine-readable trajectory lands; any .json argv overrides. *)
-let json_path =
-  match List.filter (fun a -> Filename.check_suffix a ".json") (Array.to_list Sys.argv) with
-  | p :: _ -> p
-  | [] -> "BENCH_sync.json"
+(* Where each machine-readable trajectory lands: the [n]th .json argv
+   (counting from 0) overrides [default]. *)
+let json_arg n default =
+  let args = List.filter (fun a -> Filename.check_suffix a ".json") (Array.to_list Sys.argv) in
+  Option.value (List.nth_opt args n) ~default
 
-(* Per-stage latency distributions land here; a second .json argv overrides. *)
-let obs_json_path =
-  match List.filter (fun a -> Filename.check_suffix a ".json") (Array.to_list Sys.argv) with
-  | _ :: p :: _ -> p
-  | _ -> "BENCH_obs.json"
-
-(* The parallel-settle scaling curve lands here; a third .json argv overrides. *)
-let par_json_path =
-  match List.filter (fun a -> Filename.check_suffix a ".json") (Array.to_list Sys.argv) with
-  | _ :: _ :: p :: _ -> p
-  | _ -> "BENCH_parallel.json"
-
-(* Remount-after-crash latencies land here; a fourth .json argv overrides. *)
-let rec_json_path =
-  match List.filter (fun a -> Filename.check_suffix a ".json") (Array.to_list Sys.argv) with
-  | _ :: _ :: _ :: p :: _ -> p
-  | _ -> "BENCH_recovery.json"
-
-(* The scoped-lookup crossover study lands here; a fifth .json argv overrides. *)
-let index_json_path =
-  match List.filter (fun a -> Filename.check_suffix a ".json") (Array.to_list Sys.argv) with
-  | _ :: _ :: _ :: _ :: p :: _ -> p
-  | _ -> "BENCH_index.json"
-
-(* The serving layer's throughput and degraded-tail study; a sixth .json
-   argv overrides. *)
-let serve_json_path =
-  match List.filter (fun a -> Filename.check_suffix a ".json") (Array.to_list Sys.argv) with
-  | _ :: _ :: _ :: _ :: _ :: p :: _ -> p
-  | _ -> "BENCH_serve.json"
-
-(* The storage tier's cold-mount and cache-residency study; a seventh .json
-   argv overrides. *)
-let store_json_path =
-  match List.filter (fun a -> Filename.check_suffix a ".json") (Array.to_list Sys.argv) with
-  | _ :: _ :: _ :: _ :: _ :: _ :: p :: _ -> p
-  | _ -> "BENCH_store.json"
+let json_path = json_arg 0 "BENCH_sync.json"
+let obs_json_path = json_arg 1 "BENCH_obs.json"
+let rec_json_path = json_arg 2 "BENCH_recovery.json"
+let index_json_path = json_arg 3 "BENCH_index.json"
+let serve_json_path = json_arg 4 "BENCH_serve.json"
+let store_json_path = json_arg 5 "BENCH_store.json"
 
 let banner title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -360,11 +329,11 @@ let space_section indexed_files =
   in
   Printf.printf "  per-process fd table + attribute cache: %.1f KB (paper ~16 KB)\n"
     (float_of_int per_process /. 1024.);
-  let bitmap = Hac_bitset.Bitset.paper_byte_size ~universe:indexed_files in
+  let bitmap = Fileset.paper_byte_size ~universe:indexed_files in
   Printf.printf "  result bitmap per semantic directory for N=%d files: %d bytes (N/8)\n"
     indexed_files bitmap;
   Printf.printf "  (for the paper's N=17000: %d bytes ~ 2 KB)\n"
-    (Hac_bitset.Bitset.paper_byte_size ~universe:17000);
+    (Fileset.paper_byte_size ~universe:17000);
   shape "HAC metadata overhead small (< 35%)" (Timer.pct_over ~base:fs_kb hac_kb < 35.0)
 
 (* ------------------------------------------ *)
@@ -795,7 +764,7 @@ let incremental_settle () =
 (* The incremental-settle workload as a reusable builder: [n_files] spread
    over [n_dirs] marker classes; [touch] rewrites [k] files so membership
    in the alternate class really changes on every settle. *)
-let settle_workload ?(shared_or = false) ~n_files ~n_dirs ~k () =
+let settle_workload ~n_files ~n_dirs ~k () =
   let t = Hac.create ~stem:false () in
   let fs = Hac.fs t in
   Fs.mkdir_p fs "/data";
@@ -803,19 +772,14 @@ let settle_workload ?(shared_or = false) ~n_files ~n_dirs ~k () =
   let filler = "lorem ipsum dolor sit amet consectetur adipiscing elit sed do" in
   let content ~toggled i =
     let home = i mod n_dirs and alt = (i + 7) mod n_dirs in
-    Printf.sprintf "%s wm%03d %s%s" filler home
+    Printf.sprintf "%s wm%03d %s" filler home
       (if toggled then Printf.sprintf "wm%03d" alt else "plain")
-      (if shared_or && i mod 10 = 0 then " shr" else "")
   in
   for i = 0 to n_files - 1 do
     Fs.write_file fs (path i) (content ~toggled:false i)
   done;
   for j = 0 to n_dirs - 1 do
-    (* With [shared_or] every query carries the same second disjunct, so the
-       per-pass term memo has cross-directory work to share. *)
-    Hac.smkdir t
-      (Printf.sprintf "/s%02d" j)
-      (Printf.sprintf "wm%03d%s" j (if shared_or then " OR shr" else ""))
+    Hac.smkdir t (Printf.sprintf "/s%02d" j) (Printf.sprintf "wm%03d" j)
   done;
   ignore (Hac.reindex_full t ());
   let toggled = ref false in
@@ -1085,125 +1049,6 @@ let micro_benchmarks () =
           | exception _ -> Printf.printf "  %-26s (analysis failed)\n" key)
         results)
     tests
-
-(* ----------------------------------------------------------------- *)
-(* Beyond the paper: parallel settle (domain pool + per-pass caches)  *)
-(* ----------------------------------------------------------------- *)
-
-let parallel_section () =
-  banner "Parallel settle: domain-pool levels + shared per-pass caches";
-  Printf.printf
-    "  The settle engine groups the dependency DAG into antichain levels\n\
-    \  and evaluates each level's queries concurrently on a domain pool;\n\
-    \  all domains share one per-pass term-result memo and document token\n\
-    \  cache.  Baseline is the engine with the pass caches disabled (the\n\
-    \  pre-caches sequential path).  Writes %s.\n\n"
-    par_json_path;
-  let n_files, n_dirs, k =
-    if smoke then (60, 6, 3) else if quick then (400, 20, 5) else (2000, 50, 10)
-  in
-  let reps = if smoke then 3 else 5 in
-  let host_cores = Domain.recommended_domain_count () in
-  let t, touch = settle_workload ~shared_or:true ~n_files ~n_dirs ~k () in
-  let measure settle =
-    let samples =
-      List.init reps (fun _ ->
-          touch ();
-          Gc.major ();
-          Timer.time_only (fun () -> settle ()))
-    in
-    List.nth (List.sort compare samples) (reps / 2)
-  in
-  (* Baseline: full settle on the uncached sequential engine (the ablation
-     knob restores the pre-caches behaviour; results are identical). *)
-  Hac.set_pass_caches t false;
-  let base_s = measure (fun () -> ignore (Hac.reindex_full t ())) in
-  Hac.set_pass_caches t true;
-  let widths = [ 1; 2; 4 ] in
-  let curve =
-    List.map
-      (fun d -> (d, measure (fun () -> ignore (Hac.reindex_full ~domains:d t ()))))
-      widths
-  in
-  let m = Hac.metrics t in
-  let count name = Metrics.count (Metrics.counter m name) in
-  let memo_hits = count "pass.term_memo.hits" and memo_misses = count "pass.term_memo.misses" in
-  let doc_hits = count "pass.doc_cache.hits" and doc_misses = count "pass.doc_cache.misses" in
-  let par_levels = count "sync.par.levels" and par_tasks = count "sync.par.tasks" in
-  (* Equivalence: a fresh instance settled with 4 domains must land on
-     exactly the link sets a fresh sequential instance reaches. *)
-  let snapshot t =
-    List.init n_dirs (fun j ->
-        List.sort compare
-          (List.map
-             (fun l -> l.Hac_core.Link.name)
-             (Hac.links t (Printf.sprintf "/s%02d" j))))
-  in
-  let t_seq, touch_seq = settle_workload ~shared_or:true ~n_files ~n_dirs ~k () in
-  touch_seq ();
-  ignore (Hac.reindex_full t_seq ());
-  let t_par, touch_par = settle_workload ~shared_or:true ~n_files ~n_dirs ~k () in
-  touch_par ();
-  ignore (Hac.reindex_full ~domains:4 t_par ());
-  let fixpoint_match = snapshot t_seq = snapshot t_par in
-  let speedup_at d = base_s /. List.assoc d curve in
-  Printf.printf "  corpus: %d files, %d semantic dirs, %d touched per settle (host: %d cores)\n\n"
-    n_files n_dirs k host_cores;
-  Printf.printf "  %-38s %12s %9s\n" "full settle configuration" "median (ms)" "speedup";
-  Printf.printf "  %-38s %12.3f %9s\n" "sequential, caches off (baseline)" (base_s *. 1000.) "1.0x";
-  List.iter
-    (fun (d, s) ->
-      Printf.printf "  %-38s %12.3f %8.1fx\n"
-        (Printf.sprintf "%d domain(s), caches on" d)
-        (s *. 1000.) (speedup_at d))
-    curve;
-  Printf.printf "\n  caches: term memo %d hits / %d misses, doc cache %d hits / %d misses\n"
-    memo_hits memo_misses doc_hits doc_misses;
-  Printf.printf "  pool:   %d levels scheduled, %d evaluations farmed out\n" par_levels
-    par_tasks;
-  shape "4-domain settle reaches the sequential fixpoint" fixpoint_match;
-  shape "per-pass caches engaged" (memo_hits > 0 && doc_hits > 0);
-  shape "levels were scheduled on the pool" (par_levels > 0 && par_tasks > 0);
-  (if smoke || quick then
-     (* Corpora this small settle in fractions of a millisecond: domain
-        spawn noise swamps the signal, so only the machinery is asserted. *)
-     shape "scaling curve produced at all widths"
-       (List.for_all (fun (_, s) -> s > 0.) curve)
-   else shape "4-domain settle at least 2x over uncached baseline" (speedup_at 4 >= 2.0));
-  let b = Buffer.create 512 in
-  Printf.bprintf b "{\n";
-  Printf.bprintf b
-    "  \"config\": { \"files\": %d, \"semdirs\": %d, \"touched\": %d, \"reps\": %d, \
-     \"mode\": \"%s\", \"host_cores\": %d },\n"
-    n_files n_dirs k reps
-    (if smoke then "smoke" else if quick then "quick" else "full")
-    host_cores;
-  Printf.bprintf b "  \"baseline_uncached_s\": %.6f,\n" base_s;
-  Printf.bprintf b "  \"curve\": [\n";
-  List.iteri
-    (fun i (d, s) ->
-      Printf.bprintf b "    { \"domains\": %d, \"settle_s\": %.6f, \"speedup\": %.2f }%s\n" d
-        s (speedup_at d)
-        (if i = List.length curve - 1 then "" else ","))
-    curve;
-  Printf.bprintf b "  ],\n";
-  Printf.bprintf b "  \"speedup_at_4\": %.2f,\n" (speedup_at 4);
-  Printf.bprintf b "  \"fixpoint_match\": %b,\n" fixpoint_match;
-  Printf.bprintf b
-    "  \"caches\": { \"memo_hits\": %d, \"memo_misses\": %d, \"doc_hits\": %d, \
-     \"doc_misses\": %d },\n"
-    memo_hits memo_misses doc_hits doc_misses;
-  Printf.bprintf b "  \"pool\": { \"levels\": %d, \"tasks\": %d }\n" par_levels par_tasks;
-  Printf.bprintf b "}\n";
-  let payload = Buffer.contents b in
-  let oc = open_out par_json_path in
-  output_string oc payload;
-  close_out oc;
-  shape
-    (Printf.sprintf "scaling curve written to %s" par_json_path)
-    (String.length payload > 2
-    && payload.[0] = '{'
-    && payload.[String.length payload - 2] = '}')
 
 (* ------------------------------------------------------------------ *)
 (* Beyond the paper: remount latency vs journal history (checkpoints)  *)
@@ -1620,12 +1465,9 @@ let serve_section () =
   in
   let server_run ops =
     let hac, _, _, _ = build_rig () in
-    (* One domain: reads evaluate inline, so the comparison isolates the
-       group-commit effect (settle amortization) from pool scheduling. *)
     let config =
       {
         Server.default_config with
-        domains = 1;
         max_batch = 16;
         admission = { Admission.default with queue_bound = 1 lsl 14; slo_s = 1e9; seed };
       }
@@ -1684,7 +1526,6 @@ let serve_section () =
   let fconfig =
     {
       Server.default_config with
-      domains = 2;
       max_batch = 8;
       fsync_retries = 1;
       admission = { Admission.default with queue_bound = 64; slo_s = slo; seed };
@@ -1960,7 +1801,6 @@ let () =
        the BENCH_sync.json and BENCH_obs.json trajectories. *)
     incremental_settle ();
     obs_section ();
-    parallel_section ();
     recovery_section ();
     index_section ();
     serve_section ();
@@ -1982,7 +1822,6 @@ let () =
     fault_tolerance ();
     incremental_settle ();
     obs_section ();
-    parallel_section ();
     recovery_section ();
     index_section ();
     serve_section ();

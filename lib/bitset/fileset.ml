@@ -1,8 +1,7 @@
 (* Filesets are roaring-style compressed sets (see {!Roaring}): 2^16-keyed
-   chunks, each stored as a sorted array, bitmap, or run container.  The old
-   sparse-array / whole-universe-bitmap pair is gone; this module is a thin
-   façade that keeps the historical [Fileset] API for the evaluator and adds
-   the multi-way intersection and builder entry points the index needs. *)
+   chunks, each stored as a sorted array, bitmap, or run container.  This
+   module is a thin façade: the [Fileset] API the evaluator uses, plus the
+   multi-way intersection and builder entry points the index needs. *)
 
 type t = Roaring.t
 
@@ -10,10 +9,6 @@ let empty = Roaring.empty
 let singleton = Roaring.singleton
 let of_list = Roaring.of_list
 
-(* Bitset iterates in increasing order, so the streaming constructor applies:
-   no intermediate copy of the bitmap words (the old code copied the whole
-   word array and then often re-sparsified it). *)
-let of_bitset b = Roaring.of_increasing_iter (fun f -> Bitset.iter f b)
 let of_increasing_iter = Roaring.of_increasing_iter
 let range = Roaring.range
 let mem = Roaring.mem
@@ -34,6 +29,7 @@ let elements = Roaring.elements
 let choose_opt = Roaring.choose_opt
 let max_elt_opt = Roaring.max_elt_opt
 let byte_size = Roaring.byte_size
+let paper_byte_size ~universe = (universe + 7) / 8
 let is_dense = Roaring.has_compressed
 
 type container_stats = Roaring.stats = {

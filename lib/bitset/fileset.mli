@@ -16,16 +16,12 @@ val singleton : int -> t
 val of_list : int list -> t
 (** Set of the listed identifiers. *)
 
-val of_bitset : Bitset.t -> t
-(** Snapshot of a mutable bitmap, streamed directly into containers (no
-    intermediate copy of the bitmap's word array). *)
-
 val of_increasing_iter : ((int -> unit) -> unit) -> t
 (** [of_increasing_iter it] builds a set from a strictly increasing push
     stream in one pass.  [it] must push values in strictly increasing order. *)
 
 val range : int -> int -> t
-(** [range lo hi] is [{lo, ..., hi}]; empty when [lo > hi]. *)
+(** [range lo hi] is [{max 0 lo, ..., hi}]; empty when [lo > hi]. *)
 
 val mem : t -> int -> bool
 (** Membership test. *)
@@ -85,6 +81,10 @@ val max_elt_opt : t -> int option
 val byte_size : t -> int
 (** Payload bytes of the current representation. *)
 
+val paper_byte_size : universe:int -> int
+(** [paper_byte_size ~universe] is the paper's per-directory result bitmap
+    cost for [universe] indexed files: [ceil (universe / 8)] bytes. *)
+
 val is_dense : t -> bool
 (** [true] when at least one chunk is stored compressed (bitmap or run
     container) rather than as a plain sorted array. *)
@@ -105,8 +105,8 @@ val pp : Format.formatter -> t -> unit
 
 (** Mutable accumulator for index maintenance: chunk bitmaps updated in
     place, snapshotted into the immutable form on demand (cached until the
-    next mutation).  Mutations must be single-domain; snapshots may be taken
-    concurrently. *)
+    next mutation).  Single-domain: neither mutations nor snapshots are
+    synchronised. *)
 module Builder : sig
   type fileset := t
   type t

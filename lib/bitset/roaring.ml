@@ -1063,15 +1063,12 @@ let pp ppf t =
 (* -- mutable builder --------------------------------------------------------
 
    Chunk bitmaps accumulated destructively; the immutable snapshot is cached
-   and invalidated by mutation.  Mutations are single-domain by contract
-   (index maintenance happens between settle passes); snapshots may be taken
-   concurrently from worker domains, so the cache is published under a lock. *)
+   and invalidated by mutation.  Single-domain, like the index it serves. *)
 
 type chunkb = { cw : int array; mutable cn : int }
 
 type builder = {
   tbl : (int, chunkb) Hashtbl.t;
-  lock : Mutex.t;
   mutable snap : t option;
   mutable last_key : int;
   mutable last_chunk : chunkb option;
@@ -1080,7 +1077,6 @@ type builder = {
 let builder () =
   {
     tbl = Hashtbl.create 4;
-    lock = Mutex.create ();
     snap = None;
     last_key = -1;
     last_chunk = None;
@@ -1139,31 +1135,26 @@ let bmem b v =
 let bcardinal b = Hashtbl.fold (fun _ c acc -> acc + c.cn) b.tbl 0
 
 let bsnapshot b =
-  Mutex.lock b.lock;
-  let r =
-    match b.snap with
-    | Some t -> t
-    | None ->
-        let pairs =
-          Hashtbl.fold (fun k c acc -> if c.cn > 0 then (k, c) :: acc else acc) b.tbl []
-          |> List.sort (fun (a, _) (b, _) -> compare a b)
-        in
-        let keys = Array.of_list (List.map fst pairs) in
-        let cs =
-          Array.of_list
-            (List.map
-               (fun (_, c) ->
-                 match pack_words (Array.copy c.cw) with
-                 | Some packed -> packed
-                 | None -> assert false)
-               pairs)
-        in
-        let t = { keys; cs } in
-        b.snap <- Some t;
-        t
-  in
-  Mutex.unlock b.lock;
-  r
+  match b.snap with
+  | Some t -> t
+  | None ->
+      let pairs =
+        Hashtbl.fold (fun k c acc -> if c.cn > 0 then (k, c) :: acc else acc) b.tbl []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      let keys = Array.of_list (List.map fst pairs) in
+      let cs =
+        Array.of_list
+          (List.map
+             (fun (_, c) ->
+               match pack_words (Array.copy c.cw) with
+               | Some packed -> packed
+               | None -> assert false)
+             pairs)
+      in
+      let t = { keys; cs } in
+      b.snap <- Some t;
+      t
 
 let bclear b =
   Hashtbl.reset b.tbl;

@@ -76,9 +76,8 @@ val pp : Format.formatter -> t -> unit
 (** {1 Mutable builder}
 
     Accumulates chunk bitmaps destructively and snapshots into the immutable
-    form on demand.  Mutations must come from a single domain at a time (index
-    maintenance runs between settle passes); {!bsnapshot} is safe to call
-    concurrently and caches its result until the next mutation. *)
+    form on demand; {!bsnapshot} caches its result until the next mutation.
+    Single-domain: nothing here is synchronised. *)
 
 type builder
 

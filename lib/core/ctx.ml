@@ -22,7 +22,6 @@ type t = {
   rescache : Rescache.t;
   mutable scope_generation : int;
   mutable needs_full_sync : bool;
-  mutable pass_caches : bool;
   mutable durability : [ `Always | `Batch ];
   mutable journal_epoch : int;
   mutable store : Hac_store.Store.t option;
@@ -57,7 +56,6 @@ let create ?(block_size = 1) ?(stem = true) ?transducer ?(auto_sync = false) ?re
       rescache = Rescache.create ~metrics:instr.Instr.metrics ();
       scope_generation = 0;
       needs_full_sync = false;
-      pass_caches = true;
       durability = `Batch;
       journal_epoch = -1;
       store = None;

@@ -58,11 +58,6 @@ type t = {
           directory removal) whose effect on query results is not captured
           by the reindex delta; the next settle falls back to a full
           {!Sync.sync_all} and clears it. *)
-  mutable pass_caches : bool;
-      (** Whether settle passes build their shared per-pass evaluation
-          caches ({!Hac_index.Search.term_memo} and
-          {!Hac_index.Search.doc_cache}).  On by default; an ablation knob
-          for benchmarks comparing against the uncached engine. *)
   mutable durability : [ `Always | `Batch ];
       (** When journal appends are flushed to the simulated disk: [`Always]
           fsyncs each append as it happens, [`Batch] (the default) fsyncs

@@ -59,29 +59,17 @@ let mark_dirty (ctx : Ctx.t) path =
   Ctx.mark_dirty ctx path;
   if first then journal_append ctx ("F " ^ path)
 
-(* A settle's domain budget becomes a pool only when it actually buys
-   parallelism; [None] keeps the engine on the exact sequential code path. *)
-let with_pool domains f =
-  match domains with
-  | Some d when d > 1 -> Hac_par.Pool.with_pool ~domains:d (fun p -> f (Some p))
-  | Some _ | None -> f None
-
 (* Settle everything now: data consistency, then scope consistency.  The
    reindex delta drives an incremental re-evaluation; structural events
    (renames, link edits — anything that set [needs_full_sync]) make
-   [sync_delta] fall back to a full pass.  [?domains] re-evaluates with a
-   domain pool of that width (see {!Sync.sync_all}); the result is identical
-   to the default sequential settle. *)
-let settle ?durability ?domains (ctx : Ctx.t) =
+   [sync_delta] fall back to a full pass. *)
+let settle ?durability (ctx : Ctx.t) =
   (* The knob is sticky: a settle that picks a durability mode sets it for
      every subsequent journal append too. *)
   (match durability with Some d -> ctx.durability <- d | None -> ());
-  (match domains with
-  | Some d -> Hac_obs.Metrics.set ctx.instr.Instr.par_domains (float_of_int (max 1 d))
-  | None -> ());
   Hac_obs.Trace.with_span ctx.instr.Instr.tracer ~name:"hac.settle" (fun () ->
       let _, delta = Sync.reindex_with_delta ctx () in
-      with_pool domains (fun pool -> Sync.sync_delta ?pool ctx delta);
+      Sync.sync_delta ctx delta;
       (* Completion barrier: nothing this settle acknowledged may be
          reordered past it — the journal tail (and, the simulated disk
          persisting in order, every metadata write before it) is on disk
@@ -687,21 +675,18 @@ let semdir_stamps (ctx : Ctx.t) =
 
 let semantic_dirs (ctx : Ctx.t) = List.map fst (semdir_stamps ctx)
 
-let ssync ?domains (ctx : Ctx.t) path =
-  let uid = uid_of_dir ctx path in
-  with_pool domains (fun pool -> Sync.sync_from ?pool ctx uid)
+let ssync (ctx : Ctx.t) path = Sync.sync_from ctx (uid_of_dir ctx path)
 
-let sync_all ?domains (ctx : Ctx.t) =
-  with_pool domains (fun pool -> Sync.sync_all ?pool ctx)
+let sync_all (ctx : Ctx.t) = Sync.sync_all ctx
 
-let reindex ?domains (ctx : Ctx.t) ?under () =
+let reindex (ctx : Ctx.t) ?under () =
   let n, delta = Sync.reindex_with_delta ctx ?under () in
-  with_pool domains (fun pool -> Sync.sync_delta ?pool ctx delta);
+  Sync.sync_delta ctx delta;
   n
 
-let reindex_full ?domains (ctx : Ctx.t) ?under () =
+let reindex_full (ctx : Ctx.t) ?under () =
   let n = Sync.reindex ctx ?under () in
-  with_pool domains (fun pool -> Sync.sync_all ?pool ctx);
+  Sync.sync_all ctx;
   ctx.needs_full_sync <- false;
   n
 
@@ -710,10 +695,6 @@ let dirty_count (ctx : Ctx.t) = Hashtbl.length ctx.dirty
 let set_auto_sync (ctx : Ctx.t) on = ctx.auto_sync <- on
 
 let auto_sync_enabled (ctx : Ctx.t) = ctx.auto_sync
-
-let set_pass_caches (ctx : Ctx.t) on = ctx.pass_caches <- on
-
-let pass_caches_enabled (ctx : Ctx.t) = ctx.pass_caches
 
 (* Stats-time accounting: measuring the CAS postings forces every partition
    snapshot, so the container gauges are published here — never on the
@@ -965,8 +946,8 @@ let do_checkpoint (ctx : Ctx.t) =
           Hac_obs.Metrics.set ctx.instr.Instr.journal_epoch (float_of_int ctx.journal_epoch);
           epoch))
 
-let checkpoint ?durability ?domains (ctx : Ctx.t) =
-  settle ?durability ?domains ctx;
+let checkpoint ?durability (ctx : Ctx.t) =
+  settle ?durability ctx;
   do_checkpoint ctx
 
 (* Kept under its historical name for the recovery path: re-key the

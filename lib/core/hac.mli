@@ -169,13 +169,12 @@ val semdir_stamps : t -> (string * int) list
     sorted by path.  A view built from a directory is current while its
     stamp is unchanged. *)
 
-val settle : ?durability:[ `Always | `Batch ] -> ?domains:int -> t -> unit
+val settle : ?durability:[ `Always | `Batch ] -> t -> unit
 (** Settle everything now: data consistency (reindex the dirty paths), then
     scope consistency (incremental, falling back to a full pass after
-    structural events).  [?domains > 1] re-evaluates with a domain pool of
-    that width: each dependency level's query evaluations run concurrently
-    against the frozen index, results are applied in order — the outcome is
-    identical to the sequential settle (see [docs/parallelism.md]).
+    structural events).  Directories are re-evaluated one at a time,
+    dependencies first; one pass shares its scopes, term results and
+    document tokens across every directory it visits (see [docs/perf.md]).
 
     Every settle ends with a durability barrier: the journal tail is
     fsynced to the simulated disk before the settle returns, so nothing a
@@ -190,28 +189,25 @@ val set_durability : t -> [ `Always | `Batch ] -> unit
 val durability : t -> [ `Always | `Batch ]
 (** The current append-flush policy. *)
 
-val ssync : ?domains:int -> t -> string -> unit
+val ssync : t -> string -> unit
 (** Re-evaluate the directory's query and those of all directories that
-    directly or indirectly depend on it (the paper's [ssync]).  [?domains]
-    as in {!settle}. *)
+    directly or indirectly depend on it (the paper's [ssync]). *)
 
-val sync_all : ?domains:int -> t -> unit
-(** Settle scope consistency everywhere (dependencies first).  [?domains]
-    as in {!settle}. *)
+val sync_all : t -> unit
+(** Settle scope consistency everywhere (dependencies first). *)
 
-val reindex : ?domains:int -> t -> ?under:string -> unit -> int
+val reindex : t -> ?under:string -> unit -> int
 (** Settle data consistency now (optionally only below [under]) and then
     restore scope consistency {e incrementally}: queries are re-evaluated
     only over the documents the reindex touched or removed
     ({!Sync.sync_delta}).  Structural events since the last settle force a
     full re-evaluation instead.  Returns the number of files whose index
-    entries were refreshed.  [?domains] as in {!settle}. *)
+    entries were refreshed. *)
 
-val reindex_full : ?domains:int -> t -> ?under:string -> unit -> int
+val reindex_full : t -> ?under:string -> unit -> int
 (** Like {!reindex} but always re-evaluates every semantic directory from
     scratch ({!Sync.sync_all}) — the non-incremental baseline, useful for
-    benchmarking and as a property-test oracle.  [?domains] as in
-    {!settle}. *)
+    benchmarking and as a property-test oracle. *)
 
 val dirty_count : t -> int
 (** Files whose index entry is currently stale. *)
@@ -224,15 +220,6 @@ val set_auto_sync : t -> bool -> unit
 
 val auto_sync_enabled : t -> bool
 (** Current setting of {!set_auto_sync}. *)
-
-val set_pass_caches : t -> bool -> unit
-(** Enable/disable the shared per-pass evaluation caches (term-result memo
-    and document token cache).  On by default; disabling them is an ablation
-    knob for benchmarks comparing against the uncached engine — results are
-    identical either way. *)
-
-val pass_caches_enabled : t -> bool
-(** Current setting of {!set_pass_caches}. *)
 
 val index_report : t -> Hac_index.Cas.stats
 (** Container histogram and memory accounting of the CAS postings, also
@@ -296,7 +283,7 @@ val resolve_link : t -> string -> string option
     [docs/recovery.md]).  A checkpoint bounds remount cost by the delta
     since it was taken; compaction reclaims the history it supersedes. *)
 
-val checkpoint : ?durability:[ `Always | `Batch ] -> ?domains:int -> t -> int
+val checkpoint : ?durability:[ `Always | `Batch ] -> t -> int
 (** Settle, then commit an atomic checkpoint of the full semantic state
     (consolidated journal + every semantic directory's structure files,
     one checksummed image blob published by write-new/fsync/rename).

@@ -44,9 +44,6 @@ type t = {
   sync_changed : Metrics.counter;
   reindex_files : Metrics.counter;
   index_rebuilds : Metrics.counter;
-  par_levels : Metrics.counter;
-  par_tasks : Metrics.counter;
-  par_domains : Metrics.gauge;
   memo_hits : Metrics.counter;
   memo_misses : Metrics.counter;
   doc_cache_hits : Metrics.counter;
@@ -112,9 +109,6 @@ let create ~now () =
     sync_changed = Metrics.counter m "sync.dirs_changed";
     reindex_files = Metrics.counter m "sync.reindex.files";
     index_rebuilds = Metrics.counter m "sync.index.rebuilds";
-    par_levels = Metrics.counter m "sync.par.levels";
-    par_tasks = Metrics.counter m "sync.par.tasks";
-    par_domains = Metrics.gauge m "sync.par.domains";
     memo_hits = Metrics.counter m "pass.term_memo.hits";
     memo_misses = Metrics.counter m "pass.term_memo.misses";
     doc_cache_hits = Metrics.counter m "pass.doc_cache.hits";

@@ -74,12 +74,6 @@ type t = {
   sync_changed : Hac_obs.Metrics.counter;
   reindex_files : Hac_obs.Metrics.counter;
   index_rebuilds : Hac_obs.Metrics.counter;
-  par_levels : Hac_obs.Metrics.counter;
-      (** Dependency levels scheduled by parallel settle passes. *)
-  par_tasks : Hac_obs.Metrics.counter;
-      (** Directory evaluations farmed to the domain pool. *)
-  par_domains : Hac_obs.Metrics.gauge;
-      (** Domain count of the most recent parallel settle. *)
   memo_hits : Hac_obs.Metrics.counter;  (** Per-pass term-memo hits. *)
   memo_misses : Hac_obs.Metrics.counter;  (** Per-pass term-memo misses. *)
   doc_cache_hits : Hac_obs.Metrics.counter;  (** Per-pass doc-cache hits. *)

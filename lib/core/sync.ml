@@ -71,39 +71,30 @@ let provided_scope = compute_scope
    invalidation story. *)
 type pass = {
   scopes : (int, scope) Hashtbl.t;
-  memo : Search.term_memo option;
-  cache : Search.doc_cache option;
-  mutable ev : Search.evaluator option;  (* main-domain evaluator, built lazily *)
+  memo : Search.term_memo;
+  cache : Search.doc_cache;
+  mutable ev : Search.evaluator option;  (* built lazily *)
 }
 
-let fresh_pass (ctx : Ctx.t) =
-  if ctx.pass_caches then
-    {
-      scopes = Hashtbl.create 16;
-      memo = Some (Search.term_memo ());
-      cache = Some (Search.doc_cache ());
-      ev = None;
-    }
-  else { scopes = Hashtbl.create 16; memo = None; cache = None; ev = None }
+let fresh_pass () =
+  {
+    scopes = Hashtbl.create 16;
+    memo = Search.term_memo ();
+    cache = Search.doc_cache ();
+    ev = None;
+  }
 
 (* Fold the pass caches' totals into the instance counters once, at pass
-   end — during the pass, accounting stays inside the caches' own locks, so
-   no shared [Instr] counter is touched from a worker domain. *)
+   end, instead of touching a metric on every lookup. *)
 let flush_pass (ctx : Ctx.t) pass =
   let i = ctx.instr in
-  (match pass.memo with
-  | Some m ->
-      let s = Search.term_memo_stats m in
-      Hac_obs.Metrics.incr ~by:s.Search.memo_hits i.Instr.memo_hits;
-      Hac_obs.Metrics.incr ~by:s.Search.memo_misses i.Instr.memo_misses
-  | None -> ());
-  match pass.cache with
-  | Some c ->
-      let s = Search.doc_cache_stats c in
-      Hac_obs.Metrics.incr ~by:s.Search.cache_hits i.Instr.doc_cache_hits;
-      Hac_obs.Metrics.incr ~by:s.Search.cache_misses i.Instr.doc_cache_misses;
-      Hac_obs.Metrics.incr ~by:s.Search.cache_uncached i.Instr.doc_cache_uncached
-  | None -> ()
+  let m = Search.term_memo_stats pass.memo in
+  Hac_obs.Metrics.incr ~by:m.Search.memo_hits i.Instr.memo_hits;
+  Hac_obs.Metrics.incr ~by:m.Search.memo_misses i.Instr.memo_misses;
+  let c = Search.doc_cache_stats pass.cache in
+  Hac_obs.Metrics.incr ~by:c.Search.cache_hits i.Instr.doc_cache_hits;
+  Hac_obs.Metrics.incr ~by:c.Search.cache_misses i.Instr.doc_cache_misses;
+  Hac_obs.Metrics.incr ~by:c.Search.cache_uncached i.Instr.doc_cache_uncached
 
 let scope_in pass ctx uid =
   match Hashtbl.find_opt pass.scopes uid with
@@ -112,15 +103,6 @@ let scope_in pass ctx uid =
       let s = compute_scope ctx uid in
       Hashtbl.replace pass.scopes uid s;
       s
-
-(* Read-only scope view for worker domains: serve memoized entries, compute
-   misses without publishing them (the pass table is unsynchronized).  The
-   pre-stage warms every entry a level's evaluations can read, so the
-   fallback is a correctness net, not a hot path. *)
-let scope_ro pass ctx uid =
-  match Hashtbl.find_opt pass.scopes uid with
-  | Some s -> s
-  | None -> compute_scope ctx uid
 
 let attr_docs ?probe ?within ?cache (ctx : Ctx.t) key value =
   match key with
@@ -144,10 +126,8 @@ let attr_docs ?probe ?within ?cache (ctx : Ctx.t) key value =
 (* Measured candidate counts for the planner: per-container cardinalities
    of exactly the partitions a lookup would touch (scoped by [?under] when
    the evaluation has a subtree scope).  No candidate set is ever
-   materialised, and — because [eval_query_par] calls this from worker
-   domains — no metric, tracer or cache is touched here.  Verification
-   never widens a candidate set, so these are sound upper bounds for
-   ordering conjunctions. *)
+   materialised.  Verification never widens a candidate set, so these are
+   sound upper bounds for ordering conjunctions. *)
 let term_cost ?under (ctx : Ctx.t) term =
   let universe_size () = Index.doc_count ctx.index in
   match term with
@@ -169,34 +149,28 @@ let term_cost ?under (ctx : Ctx.t) term =
       | None -> universe_size ())
   | Ast.Dirref (Ast.Ref_path _) -> universe_size ()
 
-(* Build an evaluator over the pass caches.  [~shared:false] is the main
-   domain's: dirref scopes go through [scope_in] and get published into the
-   pass table.  [~shared:true] is for worker domains: same caches, but the
-   read-only scope view, so the unsynchronized pass table is never written
-   off the main domain. *)
-let make_evaluator pass (ctx : Ctx.t) ~shared =
-  let scope_of u =
-    if shared then (scope_ro pass ctx u).local else (scope_in pass ctx u).local
-  in
-  let dirref ?within:_ = function
-    | Ast.Ref_uid u -> scope_of u
-    | Ast.Ref_path p -> (
-        match Uidmap.uid_of_path ctx.uids p with
-        | Some u -> scope_of u
-        | None -> Fileset.empty)
-  in
-  let attr ?probe ?within k v = attr_docs ?probe ?within ?cache:pass.cache ctx k v in
-  Search.evaluator ?memo:pass.memo ?cache:pass.cache ctx.index (Ctx.reader ctx) ~attr
-    ~dirref
-
-(* The pass's own (main-domain) evaluator, built on first use and reused by
-   every sequential evaluation in the pass: the query environment's closures
-   are hoisted out of the per-directory loop. *)
-let evaluator_in pass ctx =
+(* The pass's evaluator over its caches, built on first use and reused by
+   every evaluation in the pass: the query environment's closures are
+   hoisted out of the per-directory loop.  Dirref scopes go through
+   [scope_in], so the pass table memoizes them too. *)
+let evaluator_in pass (ctx : Ctx.t) =
   match pass.ev with
   | Some ev -> ev
   | None ->
-      let ev = make_evaluator pass ctx ~shared:false in
+      let scope_of u = (scope_in pass ctx u).local in
+      let dirref ?within:_ = function
+        | Ast.Ref_uid u -> scope_of u
+        | Ast.Ref_path p -> (
+            match Uidmap.uid_of_path ctx.uids p with
+            | Some u -> scope_of u
+            | None -> Fileset.empty)
+      in
+      let cache = Some pass.cache (* wrapped once, not per attribute term *) in
+      let attr ?probe ?within k v = attr_docs ?probe ?within ?cache ctx k v in
+      let ev =
+        Search.evaluator ~memo:pass.memo ~cache:pass.cache ctx.index (Ctx.reader ctx) ~attr
+          ~dirref
+      in
       pass.ev <- Some ev;
       ev
 
@@ -231,55 +205,7 @@ let eval_query_in pass (ctx : Ctx.t) ?restrict_to ?under q =
       result)
 
 let eval_query (ctx : Ctx.t) ?restrict_to q =
-  eval_query_in (fresh_pass ctx) ctx ?restrict_to q
-
-(* -- worker-domain evaluation ---------------------------------------------
-
-   Worker domains may not touch the tracer, the metrics registry, the result
-   cache or the pass scope table — everything observable accumulates in a
-   per-task [par_acc], merged on the main domain at the level barrier. *)
-
-type par_acc = {
-  acc_probe : Search.probe;
-  mutable acc_chains : int;
-  mutable acc_reordered : int;
-  mutable acc_cost_saved : int;
-  mutable acc_scoped : int;
-}
-
-let new_par_acc () =
-  {
-    acc_probe = Search.new_probe ();
-    acc_chains = 0;
-    acc_reordered = 0;
-    acc_cost_saved = 0;
-    acc_scoped = 0;
-  }
-
-let merge_par_acc (ctx : Ctx.t) acc =
-  let i = ctx.instr in
-  Instr.flush_probe i acc.acc_probe;
-  Hac_obs.Metrics.incr ~by:acc.acc_chains i.Instr.planner_chains;
-  Hac_obs.Metrics.incr ~by:acc.acc_reordered i.Instr.planner_reordered;
-  Hac_obs.Metrics.incr ~by:acc.acc_cost_saved i.Instr.planner_cost_saved;
-  Hac_obs.Metrics.incr ~by:acc.acc_scoped i.Instr.planner_scoped_chains
-
-let eval_query_par pass (ctx : Ctx.t) acc ?restrict_to ?under q =
-  let report ~chosen ~naive ~terms:_ =
-    acc.acc_chains <- acc.acc_chains + 1;
-    if chosen < naive then begin
-      acc.acc_reordered <- acc.acc_reordered + 1;
-      acc.acc_cost_saved <- acc.acc_cost_saved + (naive - chosen)
-    end;
-    match under with Some _ -> acc.acc_scoped <- acc.acc_scoped + 1 | None -> ()
-  in
-  let q =
-    Hac_query.Planner.optimize ~report
-      ~cost:(Hac_query.Planner.calibrated ~measured:(term_cost ?under ctx))
-      q
-  in
-  let ev = make_evaluator pass ctx ~shared:true in
-  Search.eval_with ev ~probe:acc.acc_probe ?restrict_to ?under q
+  eval_query_in (fresh_pass ()) ctx ?restrict_to q
 
 (* -- metadata persistence --------------------------------------------------
 
@@ -606,12 +532,7 @@ let under_hint (ctx : Ctx.t) uid =
       | None, Some path -> Some (Vpath.normalize path)
       | _ -> None)
 
-(* [?known_local] short-circuits steps 1–2 with a precomputed local result
-   (a parallel level already evaluated and exclusion-filtered it, or the
-   pre-stage found it in the result cache); everything that writes — the
-   remote part, link patching, generation bumps, persistence — still runs
-   here, on the main domain, exactly as in the sequential engine. *)
-let resync_dir_in ?known_local pass (ctx : Ctx.t) uid =
+let resync_dir_in pass (ctx : Ctx.t) uid =
   match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
   | None, _ | _, None -> false
   | Some sd, Some path ->
@@ -635,21 +556,17 @@ let resync_dir_in ?known_local pass (ctx : Ctx.t) uid =
             exclusion filtering are skipped. *)
       let fp = fingerprint sd in
       let new_local =
-        match known_local with
+        match
+          Rescache.find ctx.rescache ~uid ~fingerprint:fp ~generation:ctx.scope_generation
+        with
         | Some r -> r
-        | None -> (
-            match
-              Rescache.find ctx.rescache ~uid ~fingerprint:fp
-                ~generation:ctx.scope_generation
-            with
-            | Some r -> r
-            | None ->
-                let matched =
-                  Fileset.inter
-                    (eval_query_in pass ctx ?under:(under_hint ctx uid) sd.Semdir.query)
-                    pscope.local
-                in
-                exclusion_filter ctx sd ~path matched)
+        | None ->
+            let matched =
+              Fileset.inter
+                (eval_query_in pass ctx ?under:(under_hint ctx uid) sd.Semdir.query)
+                pscope.local
+            in
+            exclusion_filter ctx sd ~path matched
       in
       (* 3. New remote result: inherited parent links that match, plus fresh
             results from visible mount points; same exclusions.  Namespace
@@ -776,139 +693,31 @@ let resync_dir_in ?known_local pass (ctx : Ctx.t) uid =
       changed
 
 let resync_dir (ctx : Ctx.t) uid =
-  let pass = fresh_pass ctx in
+  let pass = fresh_pass () in
   let r = resync_dir_in pass ctx uid in
   flush_pass ctx pass;
   r
 
-(* -- parallel level scheduling --------------------------------------------
-
-   The scope-consistency algorithm orders re-evaluation only along
-   dependency edges; directories in the same dependency level (an antichain
-   of {!Depgraph.levels}) are mutually independent, so their expensive,
-   read-only query evaluations can run concurrently.  Each level runs in
-   three phases:
-
-   1. {e pre-stage} (main domain): resolve each semdir, warm every scope its
-      evaluation can read into the pass table, consult the result cache;
-   2. {e evaluate} (domain pool): query evaluation + exclusion filtering for
-      the cache misses, against the frozen index and the warmed read-only
-      scope view, accumulating observability into per-task [par_acc]s;
-   3. {e apply} (main domain, level order): everything that writes — remote
-      results, link patching, generation bumps, result-cache stores,
-      metadata persistence — through the same [resync_dir_in] the
-      sequential engine uses, seeded with the precomputed local result.
-
-   Within a level no directory depends on another, so apply order cannot
-   change any level result, and the final state is byte-identical to the
-   sequential pass (see docs/parallelism.md for the full argument and
-   test/test_parallel.ml for the differential check). *)
-
-type 'a level_job = Lskip | Lhit of Fileset.t | Leval of 'a
-
-let level_prestage pass (ctx : Ctx.t) ~use_rescache uid =
-  match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
-  | None, _ | _, None -> Lskip
-  | Some sd, Some path ->
-      (* Warm every scope this directory's evaluation reads (its parent and
-         its dirref dependencies), so worker domains only ever read the
-         pass table. *)
-      List.iter (fun d -> ignore (scope_in pass ctx d)) (Depgraph.deps ctx.deps uid);
-      let pscope =
-        match parent_uid ctx uid with
-        | Some p -> scope_in pass ctx p
-        | None -> { local = Fileset.empty; remote = []; mount_uids = [] }
-      in
-      if use_rescache then
-        match
-          Rescache.find ctx.rescache ~uid ~fingerprint:(fingerprint sd)
-            ~generation:ctx.scope_generation
-        with
-        | Some r -> Lhit r
-        | None -> Leval (sd, path, pscope, under_hint ctx uid)
-      else Leval (sd, path, pscope, under_hint ctx uid)
-
-let note_level (ctx : Ctx.t) ~tasks =
-  Hac_obs.Metrics.incr ctx.instr.Instr.par_levels;
-  Hac_obs.Metrics.incr ~by:tasks ctx.instr.Instr.par_tasks
-
-(* One level of a full pass: evaluate all cache-missing directories on the
-   pool, then apply every directory of the level in UID order. *)
-let run_level_full pool pass (ctx : Ctx.t) level =
-  let jobs = List.map (fun uid -> (uid, level_prestage pass ctx ~use_rescache:true uid)) level in
-  let tasks =
-    Array.of_list
-      (List.filter_map
-         (function
-           | uid, Leval (sd, path, pscope, under) -> Some (uid, sd, path, pscope, under)
-           | _, (Lskip | Lhit _) -> None)
-         jobs)
-  in
-  let results =
-    Hac_par.Pool.map pool
-      (fun (uid, sd, path, pscope, under) ->
-        let acc = new_par_acc () in
-        let matched =
-          Fileset.inter (eval_query_par pass ctx acc ?under sd.Semdir.query) pscope.local
-        in
-        (uid, exclusion_filter ctx sd ~path matched, acc))
-      tasks
-  in
-  (* Level barrier: merge the per-task accumulators on the main domain. *)
-  let computed = Hashtbl.create (max 16 (Array.length tasks)) in
-  Array.iter
-    (fun (uid, local, acc) ->
-      Hashtbl.replace computed uid local;
-      merge_par_acc ctx acc)
-    results;
-  note_level ctx ~tasks:(Array.length tasks);
-  List.iter
-    (fun (uid, job) ->
-      let known_local =
-        match job with
-        | Lskip -> None
-        | Lhit r -> Some r
-        | Leval _ -> Some (Hashtbl.find computed uid)
-      in
-      ignore (resync_dir_in ?known_local pass ctx uid))
-    jobs
-
-let run_levels_full pool pass ctx levels =
-  Hac_obs.Metrics.set ctx.Ctx.instr.Instr.par_domains
-    (float_of_int (Hac_par.Pool.size pool));
-  List.iter (fun level -> run_level_full pool pass ctx level) levels
-
-let sync_from ?pool (ctx : Ctx.t) uid =
+let sync_from (ctx : Ctx.t) uid =
   let i = ctx.instr in
   Hac_obs.Trace.with_span i.Instr.tracer ~name:"sync.from" (fun () ->
       Hac_obs.Metrics.incr i.Instr.sync_from;
-      let pass = fresh_pass ctx in
+      let pass = fresh_pass () in
       ignore (resync_dir_in pass ctx uid);
       let affected = Depgraph.affected ctx.deps uid in
-      (match pool with
-      | Some p when Hac_par.Pool.size p > 1 ->
-          run_levels_full p pass ctx (Depgraph.levels_of ctx.deps affected)
-      | Some _ | None -> List.iter (fun u -> ignore (resync_dir_in pass ctx u)) affected);
+      List.iter (fun u -> ignore (resync_dir_in pass ctx u)) affected;
       flush_pass ctx pass;
       Hac_obs.Metrics.observe i.Instr.pass_dirs (float_of_int (1 + List.length affected));
       Hac_obs.Trace.set_attr_int i.Instr.tracer "dirs" (1 + List.length affected))
 
-let sync_all ?pool (ctx : Ctx.t) =
+let sync_all (ctx : Ctx.t) =
   let i = ctx.instr in
   Hac_obs.Trace.with_span i.Instr.tracer ~name:"sync.full" (fun () ->
       Hac_obs.Metrics.incr i.Instr.sync_full;
-      let pass = fresh_pass ctx in
-      let n_dirs =
-        match pool with
-        | Some p when Hac_par.Pool.size p > 1 ->
-            let levels = Depgraph.levels ctx.deps in
-            run_levels_full p pass ctx levels;
-            List.fold_left (fun acc l -> acc + List.length l) 0 levels
-        | Some _ | None ->
-            let dirs = Depgraph.topo_all ctx.deps in
-            List.iter (fun u -> ignore (resync_dir_in pass ctx u)) dirs;
-            List.length dirs
-      in
+      let pass = fresh_pass () in
+      let dirs = Depgraph.topo_all ctx.deps in
+      List.iter (fun u -> ignore (resync_dir_in pass ctx u)) dirs;
+      let n_dirs = List.length dirs in
       flush_pass ctx pass;
       Hac_obs.Metrics.observe i.Instr.pass_dirs (float_of_int n_dirs);
       Hac_obs.Trace.set_attr_int i.Instr.tracer "dirs" n_dirs)
@@ -984,7 +793,7 @@ let adopt_result (ctx : Ctx.t) (sd : Semdir.t) ~touched =
   adopted
 
 let sync_unsynced (ctx : Ctx.t) =
-  let pass = fresh_pass ctx in
+  let pass = fresh_pass () in
   let n =
     List.fold_left
       (fun n uid ->
@@ -1104,11 +913,7 @@ let reindex (ctx : Ctx.t) ?under () = fst (reindex_with_delta ctx ?under ())
    [sync_all].  That fallback is also the property-test oracle: both paths
    must reach the same transient-link fixpoint. *)
 
-(* [?known_adds] plays the same role as [resync_dir_in]'s [?known_local]: a
-   parallel level already evaluated the restricted query and
-   exclusion-filtered the additions, so only the (sequential) application
-   remains. *)
-let resync_dir_delta ?known_adds pass (ctx : Ctx.t) ~touched ~removed uid =
+let resync_dir_delta pass (ctx : Ctx.t) ~touched ~removed uid =
   match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
   | None, _ | _, None -> ()
   | Some sd, Some path ->
@@ -1126,15 +931,12 @@ let resync_dir_delta ?known_adds pass (ctx : Ctx.t) ~touched ~removed uid =
       if not (Fileset.is_empty candidates && Fileset.is_empty stale) then begin
         Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
         let adds =
-          match known_adds with
-          | Some a -> a
-          | None ->
-              let matched =
-                Fileset.inter
-                  (eval_query_in pass ctx ~restrict_to:candidates sd.Semdir.query)
-                  candidates
-              in
-              exclusion_filter ctx sd ~path matched
+          let matched =
+            Fileset.inter
+              (eval_query_in pass ctx ~restrict_to:candidates sd.Semdir.query)
+              candidates
+          in
+          exclusion_filter ctx sd ~path matched
         in
         let old_local = sd.Semdir.transient_local in
         let new_local = Fileset.union adds (Fileset.diff old_local delta_all) in
@@ -1184,91 +986,23 @@ let resync_dir_delta ?known_adds pass (ctx : Ctx.t) ~touched ~removed uid =
         end
       end
 
-(* One level of a delta pass.  Only directories whose parent scope actually
-   intersects the touched set carry an evaluation worth farming out; the
-   rest (including the pure-removal case) apply inline — their work is a
-   couple of set operations. *)
-let run_level_delta pool pass (ctx : Ctx.t) ~touched ~removed level =
-  let jobs =
-    List.map
-      (fun uid ->
-        match level_prestage pass ctx ~use_rescache:false uid with
-        | Lskip | Lhit _ -> (uid, Lskip)
-        | Leval (sd, path, pscope, _under) ->
-            (* Delta evaluations are already restricted to the touched set;
-               the partition hint would buy nothing on top. *)
-            let candidates = Fileset.inter touched pscope.local in
-            if Fileset.is_empty candidates then (uid, Lskip)
-            else (uid, Leval (sd, path, candidates)))
-      level
-  in
-  let tasks =
-    Array.of_list
-      (List.filter_map
-         (function
-           | uid, Leval (sd, path, candidates) -> Some (uid, sd, path, candidates)
-           | _, (Lskip | Lhit _) -> None)
-         jobs)
-  in
-  let results =
-    Hac_par.Pool.map pool
-      (fun (uid, sd, path, candidates) ->
-        let acc = new_par_acc () in
-        let matched =
-          Fileset.inter
-            (eval_query_par pass ctx acc ~restrict_to:candidates sd.Semdir.query)
-            candidates
-        in
-        (uid, exclusion_filter ctx sd ~path matched, acc))
-      tasks
-  in
-  let computed = Hashtbl.create (max 16 (Array.length tasks)) in
-  Array.iter
-    (fun (uid, adds, acc) ->
-      Hashtbl.replace computed uid adds;
-      merge_par_acc ctx acc)
-    results;
-  note_level ctx ~tasks:(Array.length tasks);
-  List.iter
-    (fun (uid, job) ->
-      let known_adds =
-        match job with Leval _ -> Some (Hashtbl.find computed uid) | Lskip | Lhit _ -> None
-      in
-      resync_dir_delta ?known_adds pass ctx ~touched ~removed uid)
-    jobs
-
-let sync_delta ?pool (ctx : Ctx.t) delta =
+let sync_delta (ctx : Ctx.t) delta =
   let i = ctx.instr in
   if ctx.needs_full_sync then begin
     Hac_obs.Metrics.incr i.Instr.sync_fallback;
     ctx.needs_full_sync <- false;
-    sync_all ?pool ctx
+    sync_all ctx
   end
   else if not (Fileset.is_empty delta.touched && Fileset.is_empty delta.removed) then
     Hac_obs.Trace.with_span i.Instr.tracer ~name:"sync.delta" (fun () ->
         Hac_obs.Metrics.incr i.Instr.sync_delta;
-        let pass = fresh_pass ctx in
-        let n_dirs =
-          match pool with
-          | Some p when Hac_par.Pool.size p > 1 ->
-              let levels = Depgraph.levels ctx.deps in
-              Hac_obs.Metrics.set i.Instr.par_domains
-                (float_of_int (Hac_par.Pool.size p));
-              List.iter
-                (fun level ->
-                  run_level_delta p pass ctx ~touched:delta.touched ~removed:delta.removed
-                    level)
-                levels;
-              List.fold_left (fun acc l -> acc + List.length l) 0 levels
-          | Some _ | None ->
-              let dirs = Depgraph.topo_all ctx.deps in
-              List.iter
-                (fun uid ->
-                  resync_dir_delta pass ctx ~touched:delta.touched ~removed:delta.removed
-                    uid)
-                dirs;
-              List.length dirs
-        in
+        let pass = fresh_pass () in
+        let dirs = Depgraph.topo_all ctx.deps in
+        List.iter
+          (fun uid ->
+            resync_dir_delta pass ctx ~touched:delta.touched ~removed:delta.removed uid)
+          dirs;
+        let n_dirs = List.length dirs in
         flush_pass ctx pass;
         Hac_obs.Metrics.observe i.Instr.pass_dirs (float_of_int n_dirs);
         Hac_obs.Trace.set_attr_int i.Instr.tracer "dirs" n_dirs;

@@ -100,18 +100,15 @@ val resync_dir : Ctx.t -> int -> bool
     are never modified.  Returns whether the transient set changed.  No-op
     ([false]) on syntactic directories. *)
 
-val sync_from : ?pool:Hac_par.Pool.t -> Ctx.t -> int -> unit
+val sync_from : Ctx.t -> int -> unit
 (** [resync_dir] on the directory, then on every directory that directly or
-    indirectly depends on it, in topological order.  With a [pool] of size
-    > 1, the affected directories are processed level by level
-    ({!Hac_depgraph.Depgraph.levels_of}): each level's query evaluations run
-    concurrently on the pool against the frozen index, then their results
-    are applied sequentially — the outcome is identical to the sequential
-    walk. *)
+    indirectly depends on it, in topological order, in one pass: provided
+    scopes, term results and document tokens are computed at most once per
+    pass. *)
 
-val sync_all : ?pool:Hac_par.Pool.t -> Ctx.t -> unit
-(** Re-evaluate every semantic directory, dependencies first.  [?pool] as in
-    {!sync_from}. *)
+val sync_all : Ctx.t -> unit
+(** Re-evaluate every semantic directory, dependencies first, in one
+    pass. *)
 
 type delta = {
   touched : Hac_bitset.Fileset.t;
@@ -132,7 +129,7 @@ val reindex : Ctx.t -> ?under:string -> unit -> int
 val reindex_with_delta : Ctx.t -> ?under:string -> unit -> int * delta
 (** {!reindex}, also returning which documents it touched or removed. *)
 
-val sync_delta : ?pool:Hac_par.Pool.t -> Ctx.t -> delta -> unit
+val sync_delta : Ctx.t -> delta -> unit
 (** Incremental scope maintenance: restore the scope invariant after a
     content-only change described by the delta.  Walks directories in
     dependency order but re-evaluates each query {e only over the delta

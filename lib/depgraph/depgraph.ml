@@ -134,43 +134,6 @@ let topo_all g =
   let nodes = Hashtbl.fold (fun n _ acc -> n :: acc) g.out_edges [] in
   topo_of g nodes
 
-(* Kahn's algorithm with the frontier drained a whole wave at a time: level k
-   holds exactly the nodes whose longest dependency chain within [nodes] has
-   length k, so everything a node depends on lives in a strictly earlier
-   level and a level is safe to process concurrently. *)
-let levels_of g nodes =
-  let node_set = List.fold_left (fun s n -> IntSet.add n s) IntSet.empty nodes in
-  let in_deg = Hashtbl.create 64 in
-  IntSet.iter
-    (fun n ->
-      let d = IntSet.cardinal (IntSet.inter (get g.out_edges n) node_set) in
-      Hashtbl.replace in_deg n d)
-    node_set;
-  let frontier = ref (IntSet.filter (fun n -> Hashtbl.find in_deg n = 0) node_set) in
-  let levels = ref [] in
-  while not (IntSet.is_empty !frontier) do
-    let level = !frontier in
-    levels := IntSet.elements level :: !levels;
-    let next = ref IntSet.empty in
-    IntSet.iter
-      (fun n ->
-        IntSet.iter
-          (fun dependent ->
-            if IntSet.mem dependent node_set then begin
-              let d = Hashtbl.find in_deg dependent - 1 in
-              Hashtbl.replace in_deg dependent d;
-              if d = 0 then next := IntSet.add dependent !next
-            end)
-          (get g.in_edges n))
-      level;
-    frontier := !next
-  done;
-  List.rev !levels
-
-let levels g =
-  let nodes = Hashtbl.fold (fun n _ acc -> n :: acc) g.out_edges [] in
-  levels_of g nodes
-
 let affected g uid =
   (* Transitive dependents via reverse edges, then topologically ordered. *)
   let seen = Hashtbl.create 16 in

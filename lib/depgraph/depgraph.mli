@@ -43,17 +43,6 @@ val affected : t -> int -> int list
 val topo_all : t -> int list
 (** Every node, dependencies before dependents. *)
 
-val levels_of : t -> int list -> int list list
-(** [topo_of] grouped into antichain waves: level [k] holds the nodes of the
-    given set whose longest dependency chain (within the set) has length [k],
-    so every dependency of a node lives in a strictly earlier level and the
-    nodes of one level are mutually independent — safe to evaluate
-    concurrently.  Concatenating the levels yields a valid topological order
-    of the set; each level is sorted by UID for determinism. *)
-
-val levels : t -> int list list
-(** {!levels_of} over every registered node. *)
-
 val would_cycle : t -> int -> int list -> bool
 (** [true] when [set_deps] with these edges would be refused. *)
 

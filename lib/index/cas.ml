@@ -17,11 +17,8 @@
    postings cannot vouch for it: the index lists it (with every document
    rewritten in place) as unvouched, and verification cleans those
    candidates.  Every other live candidate carries a posting of the term
-   from its current content.  {!reset} (on rebuild) reclaims.
-
-   Concurrency: all mutation happens on the main domain between settle
-   passes.  During passes, worker domains only read — the lone mutable reads
-   are cached snapshot fills, which go through [t.lock]. *)
+   from its current content.  {!reset} (on rebuild) reclaims.  Single-domain:
+   lookups fill cached snapshots without synchronisation. *)
 
 module Fileset = Hac_bitset.Fileset
 
@@ -101,7 +98,6 @@ type t = {
   terms : (string, entry) Hashtbl.t;
   alive : Fileset.Builder.t;
   relabeled : Fileset.Builder.t;
-  lock : Mutex.t;
 }
 
 let create () =
@@ -113,7 +109,6 @@ let create () =
     terms = Hashtbl.create 4096;
     alive = Fileset.Builder.create ();
     relabeled = Fileset.Builder.create ();
-    lock = Mutex.create ();
   }
 
 let reset t =
@@ -280,10 +275,6 @@ let covered_labels t under =
       in
       Some ids
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let union_all e =
   match e.all with
   | Some s -> s
@@ -300,25 +291,24 @@ let candidates ?under t key =
   | None -> Fileset.empty
   | Some e ->
       let raw =
-        locked t (fun () ->
-            match under with
+        match under with
+        | None -> union_all e
+        | Some under -> (
+            match covered_labels t under with
             | None -> union_all e
-            | Some under -> (
-                match covered_labels t under with
-                | None -> union_all e
-                | Some lids ->
-                    let part_union =
-                      List.fold_left
-                        (fun acc lid ->
-                          match Hashtbl.find_opt e.parts lid with
-                          | Some p -> Fileset.union (vec_snapshot p) acc
-                          | None -> acc)
-                        Fileset.empty lids
-                    in
-                    (* Renamed documents may sit in a partition the scope no
-                       longer covers; the relabeled set restores the superset. *)
-                    if Fileset.Builder.cardinal t.relabeled = 0 then part_union
-                    else Fileset.union part_union (Fileset.Builder.snapshot t.relabeled)))
+            | Some lids ->
+                let part_union =
+                  List.fold_left
+                    (fun acc lid ->
+                      match Hashtbl.find_opt e.parts lid with
+                      | Some p -> Fileset.union (vec_snapshot p) acc
+                      | None -> acc)
+                    Fileset.empty lids
+                in
+                (* Renamed documents may sit in a partition the scope no
+                   longer covers; the relabeled set restores the superset. *)
+                if Fileset.Builder.cardinal t.relabeled = 0 then part_union
+                else Fileset.union part_union (Fileset.Builder.snapshot t.relabeled))
       in
       Fileset.inter raw (Fileset.Builder.snapshot t.alive)
 
@@ -336,22 +326,21 @@ let attr_candidates ?under t k v = candidates ?under t (attr_key k v)
 let cost ?under t key =
   match Hashtbl.find_opt t.terms key with
   | None -> 0
-  | Some e ->
-      locked t (fun () ->
-          let sum_all () = Hashtbl.fold (fun _ p acc -> acc + vec_card p) e.parts 0 in
-          match under with
+  | Some e -> (
+      let sum_all () = Hashtbl.fold (fun _ p acc -> acc + vec_card p) e.parts 0 in
+      match under with
+      | None -> sum_all ()
+      | Some under -> (
+          match covered_labels t under with
           | None -> sum_all ()
-          | Some under -> (
-              match covered_labels t under with
-              | None -> sum_all ()
-              | Some lids ->
-                  List.fold_left
-                    (fun acc lid ->
-                      match Hashtbl.find_opt e.parts lid with
-                      | Some p -> acc + vec_card p
-                      | None -> acc)
-                    (Fileset.Builder.cardinal t.relabeled)
-                    lids))
+          | Some lids ->
+              List.fold_left
+                (fun acc lid ->
+                  match Hashtbl.find_opt e.parts lid with
+                  | Some p -> acc + vec_card p
+                  | None -> acc)
+                (Fileset.Builder.cardinal t.relabeled)
+                lids))
 
 let word_cost ?under t w = cost ?under t (word_key w)
 
@@ -360,13 +349,12 @@ let attr_cost ?under t k v = cost ?under t (attr_key k v)
 (* Every term's live posting set (all partitions unioned, dead documents
    masked) — what a segment dump persists.  Forces snapshots, like stats. *)
 let iter_terms t f =
-  locked t (fun () ->
-      let live = Fileset.Builder.snapshot t.alive in
-      Hashtbl.iter
-        (fun key e ->
-          let s = Fileset.inter (union_all e) live in
-          if Fileset.cardinal s > 0 then f key s)
-        t.terms)
+  let live = Fileset.Builder.snapshot t.alive in
+  Hashtbl.iter
+    (fun key e ->
+      let s = Fileset.inter (union_all e) live in
+      if Fileset.cardinal s > 0 then f key s)
+    t.terms
 
 (* -- accounting -------------------------------------------------------------- *)
 
@@ -386,35 +374,34 @@ type stats = {
 
 (* Forces every partition snapshot — an explicit stats-time cost, not paid on
    the indexing or query path. *)
-let stats ?(universe = 0) t =
-  locked t (fun () ->
-      let partitions = ref 0 and postings = ref 0 and raw = ref 0 in
-      let arrays = ref 0 and bitmaps = ref 0 and runs = ref 0 and bytes = ref 0 in
+let stats ?(universe = 0) (t : t) =
+  let partitions = ref 0 and postings = ref 0 and raw = ref 0 in
+  let arrays = ref 0 and bitmaps = ref 0 and runs = ref 0 and bytes = ref 0 in
+  Hashtbl.iter
+    (fun _ e ->
       Hashtbl.iter
-        (fun _ e ->
-          Hashtbl.iter
-            (fun _ p ->
-              incr partitions;
-              postings := !postings + p.len;
-              raw := !raw + (Array.length p.v * 8);
-              let st = Fileset.container_stats (vec_snapshot p) in
-              arrays := !arrays + st.arrays;
-              bitmaps := !bitmaps + st.bitmaps;
-              runs := !runs + st.run_containers;
-              bytes := !bytes + st.bytes)
-            e.parts)
-        t.terms;
-      let per_term_bitmap = (universe + 7) / 8 in
-      {
-        labels = t.label_count;
-        terms = Hashtbl.length t.terms;
-        partitions = !partitions;
-        postings = !postings;
-        bytes = !bytes;
-        raw_bytes = !raw;
-        uncompressed_bytes = Hashtbl.length t.terms * per_term_bitmap;
-        arrays = !arrays;
-        bitmaps = !bitmaps;
-        run_containers = !runs;
-        relabeled = Fileset.Builder.cardinal t.relabeled;
-      })
+        (fun _ p ->
+          incr partitions;
+          postings := !postings + p.len;
+          raw := !raw + (Array.length p.v * 8);
+          let st = Fileset.container_stats (vec_snapshot p) in
+          arrays := !arrays + st.arrays;
+          bitmaps := !bitmaps + st.bitmaps;
+          runs := !runs + st.run_containers;
+          bytes := !bytes + st.bytes)
+        e.parts)
+    t.terms;
+  let per_term_bitmap = (universe + 7) / 8 in
+  {
+    labels = t.label_count;
+    terms = Hashtbl.length t.terms;
+    partitions = !partitions;
+    postings = !postings;
+    bytes = !bytes;
+    raw_bytes = !raw;
+    uncompressed_bytes = Hashtbl.length t.terms * per_term_bitmap;
+    arrays = !arrays;
+    bitmaps = !bitmaps;
+    run_containers = !runs;
+    relabeled = Fileset.Builder.cardinal t.relabeled;
+  }

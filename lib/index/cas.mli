@@ -5,8 +5,8 @@
     Glimpse's laziness contract — every answer is a sound superset of the
     truth (removals are masked by the alive set, renames by the relabeled
     set) and callers verify the candidates {!Index.unvouched} names against
-    real content.  Mutation is main-domain-only between settle passes;
-    lookups and costs are safe from worker domains. *)
+    real content.  Single-domain: lookups fill cached snapshots without
+    synchronisation. *)
 
 type t
 

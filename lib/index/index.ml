@@ -317,8 +317,7 @@ let doc_ids_under t dir =
   | None -> Fileset.empty
 
 (* Measured partition cardinalities of the lookup (scoped by [?under]) plus
-   the cold provider's.  Called from worker domains during parallel passes —
-   must not touch metrics or other main-domain-only state. *)
+   the cold provider's. *)
 let term_cost ?under t w =
   let w = key t w in
   Cas.word_cost ?under t.cas w + cold_cost t (Cas.word_key w)

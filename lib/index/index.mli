@@ -19,7 +19,10 @@
     such a document is unvouched, so stale postings only cost verification
     work.  At block size 1 with no cold provider, every other live
     candidate's posting already is the verdict, as long as each change to
-    an indexed file reaches the index ({!note_dirty}). *)
+    an indexed file reaches the index ({!note_dirty}).
+
+    Single-domain: lookups and costs fill cached snapshots without
+    synchronisation. *)
 
 type t
 (** One index instance. *)
@@ -114,8 +117,7 @@ val unvouched : t -> Hac_bitset.Fileset.t -> Hac_bitset.Fileset.t
     dumps keep the stale words of lazily updated documents).  Otherwise the
     documents updated in place, renamed or reported by {!note_dirty} since
     the last {!rebuild}.  For a word or attribute lookup, every other member
-    holds the term in its indexed content.  Safe to call from worker
-    domains. *)
+    holds the term in its indexed content. *)
 
 val doc_count : t -> int
 (** Number of live documents. *)
@@ -169,7 +171,7 @@ val term_cost : ?under:string -> t -> string -> int
     actually touch (scoped by [?under]) plus the cold provider's count.
     Never materializes a candidate set — cheap enough to consult once per query
     term on every resync, which is what {!Planner.optimize} needs to rank
-    conjuncts by real selectivity.  Safe to call from worker domains. *)
+    conjuncts by real selectivity. *)
 
 val attr_cost : ?under:string -> t -> string -> string -> int
 (** {!term_cost} for an attribute/value pair. *)

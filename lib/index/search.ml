@@ -26,21 +26,16 @@ let key idx w = if Index.stemming idx then Stemmer.stem w else w
    Both caches live for exactly one settle pass — the window during which
    the index and every document's content are frozen — so they need no
    invalidation protocol: the pass drops them when it ends, and a reindex
-   always starts a fresh pass.  Both are safe to share across domains: the
-   table locks cover the maps, and an entry's token structures are built and
-   read under the entry's own lock (publishing a half-built hashtable
-   through a plain mutable field is not safe under the OCaml 5 memory
-   model). *)
+   always starts a fresh pass.  Single-domain, like the pass that owns
+   them. *)
 
 type doc_entry = {
   de_content : string;
-  de_lock : Mutex.t;
   mutable de_keys : (string, unit) Hashtbl.t option;  (* index-keyed token set *)
   mutable de_tokens : string list option;  (* raw token stream, for phrases *)
 }
 
 type doc_cache = {
-  dc_lock : Mutex.t;
   dc_tbl : (string, doc_entry option) Hashtbl.t;  (* None: unreadable path *)
   dc_max_bytes : int;
   mutable dc_bytes : int;
@@ -64,7 +59,6 @@ let default_cache_bytes = 32 * 1024 * 1024
    major heap for every pass. *)
 let doc_cache ?(max_bytes = default_cache_bytes) () =
   {
-    dc_lock = Mutex.create ();
     dc_tbl = Hashtbl.create 64;
     dc_max_bytes = max_bytes;
     dc_bytes = 0;
@@ -74,87 +68,54 @@ let doc_cache ?(max_bytes = default_cache_bytes) () =
   }
 
 let doc_cache_stats c =
-  Mutex.lock c.dc_lock;
-  let s =
-    {
-      cache_hits = c.dc_hits;
-      cache_misses = c.dc_misses;
-      cache_uncached = c.dc_uncached;
-      cache_docs = Hashtbl.length c.dc_tbl;
-      cache_bytes = c.dc_bytes;
-    }
-  in
-  Mutex.unlock c.dc_lock;
-  s
+  {
+    cache_hits = c.dc_hits;
+    cache_misses = c.dc_misses;
+    cache_uncached = c.dc_uncached;
+    cache_docs = Hashtbl.length c.dc_tbl;
+    cache_bytes = c.dc_bytes;
+  }
 
 let cached_entry c (reader : reader) path =
-  Mutex.lock c.dc_lock;
   match Hashtbl.find_opt c.dc_tbl path with
   | Some e ->
       c.dc_hits <- c.dc_hits + 1;
-      Mutex.unlock c.dc_lock;
       e
   | None ->
       c.dc_misses <- c.dc_misses + 1;
-      Mutex.unlock c.dc_lock;
-      (* Read outside the lock: the file cannot change during a pass, so a
-         concurrent same-path read is benign, and a slow reader must not
-         serialize every other domain. *)
       let entry =
         Option.map
-          (fun content ->
-            { de_content = content; de_lock = Mutex.create (); de_keys = None; de_tokens = None })
+          (fun content -> { de_content = content; de_keys = None; de_tokens = None })
           (reader.read path)
       in
-      Mutex.lock c.dc_lock;
-      (match Hashtbl.find_opt c.dc_tbl path with
-      | Some e ->
-          (* Another domain raced us to it; keep the published entry so all
-             readers share one set of token structures. *)
-          Mutex.unlock c.dc_lock;
-          e
-      | None ->
-          let sz = match entry with Some e -> String.length e.de_content | None -> 0 in
-          if c.dc_bytes + sz <= c.dc_max_bytes then begin
-            Hashtbl.replace c.dc_tbl path entry;
-            c.dc_bytes <- c.dc_bytes + sz
-          end
-          else c.dc_uncached <- c.dc_uncached + 1;
-          Mutex.unlock c.dc_lock;
-          entry)
+      let sz = match entry with Some e -> String.length e.de_content | None -> 0 in
+      if c.dc_bytes + sz <= c.dc_max_bytes then begin
+        Hashtbl.replace c.dc_tbl path entry;
+        c.dc_bytes <- c.dc_bytes + sz
+      end
+      else c.dc_uncached <- c.dc_uncached + 1;
+      entry
 
 let cached_content c reader path =
   Option.map (fun e -> e.de_content) (cached_entry c reader path)
 
-(* Token structures are built at most once per entry, under the entry lock;
-   once published they are immutable, so the returned table/list can be read
-   without the lock. *)
+(* Token structures are built at most once per entry, on first use. *)
 let entry_keys idx e =
-  Mutex.lock e.de_lock;
-  let keys =
-    match e.de_keys with
-    | Some k -> k
-    | None ->
-        let k = Hashtbl.create 64 in
-        Tokenizer.iter_words e.de_content (fun x -> Hashtbl.replace k (key idx x) ());
-        e.de_keys <- Some k;
-        k
-  in
-  Mutex.unlock e.de_lock;
-  keys
+  match e.de_keys with
+  | Some k -> k
+  | None ->
+      let k = Hashtbl.create 64 in
+      Tokenizer.iter_words e.de_content (fun x -> Hashtbl.replace k (key idx x) ());
+      e.de_keys <- Some k;
+      k
 
 let entry_tokens e =
-  Mutex.lock e.de_lock;
-  let tokens =
-    match e.de_tokens with
-    | Some t -> t
-    | None ->
-        let t = Tokenizer.words e.de_content in
-        e.de_tokens <- Some t;
-        t
-  in
-  Mutex.unlock e.de_lock;
-  tokens
+  match e.de_tokens with
+  | Some t -> t
+  | None ->
+      let t = Tokenizer.words e.de_content in
+      e.de_tokens <- Some t;
+      t
 
 (* -- content predicates ---------------------------------------------------- *)
 
@@ -379,7 +340,6 @@ let matching_lines idx reader ~path ~query_words =
 (* -- per-pass term memo ---------------------------------------------------- *)
 
 type term_memo = {
-  tm_lock : Mutex.t;
   tm_tbl : (string, Fileset.t) Hashtbl.t;
   mutable tm_hits : int;
   mutable tm_misses : int;
@@ -387,34 +347,20 @@ type term_memo = {
 
 type memo_stats = { memo_hits : int; memo_misses : int; memo_entries : int }
 
-let term_memo () =
-  { tm_lock = Mutex.create (); tm_tbl = Hashtbl.create 64; tm_hits = 0; tm_misses = 0 }
+let term_memo () = { tm_tbl = Hashtbl.create 64; tm_hits = 0; tm_misses = 0 }
 
 let term_memo_stats m =
-  Mutex.lock m.tm_lock;
-  let s =
-    { memo_hits = m.tm_hits; memo_misses = m.tm_misses; memo_entries = Hashtbl.length m.tm_tbl }
-  in
-  Mutex.unlock m.tm_lock;
-  s
+  { memo_hits = m.tm_hits; memo_misses = m.tm_misses; memo_entries = Hashtbl.length m.tm_tbl }
 
-(* Concurrent misses on the same key may both compute; the value is a pure
-   function of the frozen index, so last-write-wins is harmless and cheaper
-   than holding the lock across an evaluation. *)
 let memoized m k compute =
-  Mutex.lock m.tm_lock;
   match Hashtbl.find_opt m.tm_tbl k with
   | Some v ->
       m.tm_hits <- m.tm_hits + 1;
-      Mutex.unlock m.tm_lock;
       v
   | None ->
       m.tm_misses <- m.tm_misses + 1;
-      Mutex.unlock m.tm_lock;
       let v = compute () in
-      Mutex.lock m.tm_lock;
-      if not (Hashtbl.mem m.tm_tbl k) then Hashtbl.replace m.tm_tbl k v;
-      Mutex.unlock m.tm_lock;
+      Hashtbl.replace m.tm_tbl k v;
       v
 
 (* -- the hoisted evaluator -------------------------------------------------
@@ -423,9 +369,7 @@ let memoized m k compute =
    settle pass over thousands of directories re-built identical closures
    thousands of times.  The evaluator hoists everything per-index (index,
    reader, caches, the env itself) and threads the two per-query bits —
-   probe and restriction — through mutable fields read by the closures.  An
-   evaluator therefore serves one domain at a time; parallel passes give
-   each task its own evaluator over the {e shared} memo and cache. *)
+   probe and restriction — through mutable fields read by the closures. *)
 
 type evaluator = {
   ev_idx : Index.t;

@@ -47,13 +47,13 @@ val new_probe : unit -> probe
 
     Both caches live for exactly one settle pass — the window during which
     the index and every document's content are frozen — so dropping them at
-    the end of the pass is the whole invalidation story.  Both are safe to
-    share across domains. *)
+    the end of the pass is the whole invalidation story.  Both are
+    single-domain: nothing in them is synchronised. *)
 
 type doc_cache
 (** A bounded document content/token cache.  The first verification of a
-    path reads it; later verifications (by any sibling directory, from any
-    domain) reuse the content and the lazily-built token structures, so each
+    path reads it; later verifications (by any sibling directory) reuse the
+    content and the lazily-built token structures, so each
     file is read and tokenized at most once per pass.  Unreadable paths are
     cached too.  Documents past the byte budget are served uncached. *)
 
@@ -181,8 +181,7 @@ val contains_phrase : content:string -> string list -> bool
     per-index — the index, the reader, the caches and the env itself — and
     threads the per-query probe and restriction through mutable fields, so
     one evaluator serves a whole pass.  An evaluator is single-domain (its
-    fields are unsynchronized); parallel passes give each task its own
-    evaluator over the {e shared} memo and cache. *)
+    fields are unsynchronised). *)
 
 type evaluator
 

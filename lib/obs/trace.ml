@@ -133,8 +133,8 @@ let current t = match t.active with [] -> None | sp :: _ -> Some sp.id
 
 let emit t ?parent ?(attrs = []) ?(failed = false) ~name ~vstart ~vstop ~cpu_s () =
   (* Record an externally measured, already-finished span — e.g. per-read
-     work timed on a pool domain, parent-linked to the caller's wave span
-     after the barrier so the pool itself never touches the tracer. *)
+     work timed inside a read wave, parent-linked to the wave's span once
+     every read of the wave has run. *)
   if not t.live then None
   else begin
     let depth =

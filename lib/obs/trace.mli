@@ -71,8 +71,8 @@ val emit :
   cpu_s:float ->
   unit ->
   int option
-(** Record an already-finished span measured elsewhere (e.g. on a pool
-    domain), optionally parent-linked.  Returns its id, or [None] when
+(** Record an already-finished span measured elsewhere (e.g. per read of a
+    read wave), optionally parent-linked.  Returns its id, or [None] when
     tracing is disabled. *)
 
 val finished : t -> span list

@@ -7,8 +7,8 @@
               holds only admitted tickets;
      batch  — pop up to [max_batch] tickets, expiring any whose deadline
               passed while queued (explicit rejection, never a hang);
-     reads  — evaluated concurrently on the domain pool against the
-              current immutable snapshot (pure map lookups, no locks);
+     reads  — evaluated in order against the current immutable snapshot
+              (pure map lookups);
      writes — applied sequentially to the engine in pop order; each
               success appends to the commit log, each engine error is an
               immediate [Nack] (not committed);
@@ -26,9 +26,8 @@
    freshness, never for consistency: a snapshot is always a committed
    prefix.
 
-   Single-threaded control: [submit]/[pump]/[drain] are called from one
-   domain (the pool is used only inside [pump] for read evaluation), so
-   plain mutable state and caller-domain metrics are safe. *)
+   Single-threaded: [submit]/[pump]/[drain] and everything they run stay on
+   the caller's domain, so plain mutable state and metrics are safe. *)
 
 module Fs = Hac_vfs.Fs
 module Hac = Hac_core.Hac
@@ -38,10 +37,8 @@ module Trace = Hac_obs.Trace
 module Ctx = Hac_obs.Ctx
 module Flight = Hac_obs.Flight
 module Slo = Hac_obs.Slo
-module Pool = Hac_par.Pool
 
 type config = {
-  domains : int;  (** Read-evaluation pool width (1 = inline). *)
   max_batch : int;  (** Tickets consumed per pump. *)
   admission : Admission.config;
   read_cost_s : float;  (** Virtual cost of one snapshot read. *)
@@ -54,7 +51,6 @@ type config = {
 
 let default_config =
   {
-    domains = 1;
     max_batch = 16;
     admission = Admission.default;
     read_cost_s = 0.002;
@@ -99,7 +95,6 @@ type instruments = {
 type t = {
   hac : Hac.t;
   config : config;
-  pool : Pool.t option;
   clock : Clock.t;
   sessions : (string, Session.t) Hashtbl.t;
   queue : Msg.ticket Queue.t;
@@ -163,7 +158,7 @@ let create ?(config = default_config) hac =
      journal appends ride the per-settle durability barrier. *)
   Hac.set_auto_sync hac false;
   Hac.set_durability hac `Batch;
-  Hac.settle ~domains:config.domains hac;
+  Hac.settle hac;
   let clock = Hac.clock hac in
   let snap = Snapshot.capture hac ~seq:0 ~now:(Clock.now clock) in
   (* The capture materialized transient links; barrier the tail (see
@@ -172,7 +167,6 @@ let create ?(config = default_config) hac =
   {
     hac;
     config;
-    pool = (if config.domains > 1 then Some (Pool.create ~domains:config.domains ()) else None);
     clock;
     sessions = Hashtbl.create 16;
     queue = Queue.create ();
@@ -397,41 +391,35 @@ let serve_reads t tickets =
           match tk.op with Msg.R r -> r | Msg.W _ -> assert false)
         tickets
     in
-    (* Pure lookups against one immutable snapshot: any domain may run
-       them; replies come back in order.  The pool must not touch metrics,
-       the tracer or the clock — traced, it only reports per-element CPU
-       durations ([map_timed]); spans, metrics and virtual time are all
-       charged here, on the caller.  Untraced, nothing reads a clock. *)
+    (* Pure lookups against one immutable snapshot, in order.  Traced,
+       each read's CPU duration is measured around it; untraced, nothing
+       reads a clock. *)
     let tr = Hac.tracer t.hac in
     let traced = Trace.enabled tr in
     Trace.with_span tr ~name:"serve.read_wave" (fun () ->
         let vstart = Clock.now t.clock in
         let read = Snapshot.read snap in
         let replies, cpu =
-          match (t.pool, traced) with
-          | Some pool, true -> Pool.map_timed pool read reads
-          | Some pool, false -> (Pool.map pool read reads, [||])
-          | None, false -> (Array.map read reads, [||])
-          | None, true ->
-              let times = Array.make n 0.0 in
-              let rs =
-                Array.mapi
-                  (fun k r ->
-                    let c0 = Sys.time () in
-                    let v = read r in
-                    times.(k) <- Sys.time () -. c0;
-                    v)
-                  reads
-              in
-              (rs, times)
+          if not traced then (Array.map read reads, [||])
+          else begin
+            let times = Array.make n 0.0 in
+            let rs =
+              Array.mapi
+                (fun k r ->
+                  let c0 = Sys.time () in
+                  let v = read r in
+                  times.(k) <- Sys.time () -. c0;
+                  v)
+                reads
+            in
+            (rs, times)
+          end
         in
-        let width = match t.pool with Some p -> Pool.size p | None -> 1 in
-        let waves = (n + width - 1) / width in
-        Clock.advance t.clock (float_of_int waves *. t.config.read_cost_s);
+        (* The reads run one after another: the wave costs one read each. *)
+        Clock.advance t.clock (float_of_int n *. t.config.read_cost_s);
         let now = Clock.now t.clock in
-        (* Cross-domain parent linking: each read's span carries the CPU
-           time measured on whichever domain ran it, parent-linked to this
-           wave's span and tagged with the request's trace id. *)
+        (* Each read's span carries its measured CPU time, parent-linked to
+           this wave's span and tagged with the request's trace id. *)
         if traced then begin
           let parent = Trace.current tr in
           Array.iteri
@@ -495,7 +483,7 @@ let apply_writes t tickets =
    base cost; over budget trips degraded mode. *)
 let settle_batch t =
   let before = Clock.now t.clock in
-  let outcome = try Ok (Hac.settle ~domains:t.config.domains t.hac) with e -> Error e in
+  let outcome = try Ok (Hac.settle t.hac) with e -> Error e in
   Clock.advance t.clock t.config.settle_cost_s;
   let dur = Clock.now t.clock -. before in
   t.last_settle_s <- dur;
@@ -653,6 +641,5 @@ let stop t =
   if not t.stopped then begin
     drain t;
     t.stopped <- true;
-    (match t.pool with Some p -> Pool.shutdown p | None -> ());
     Hac.set_auto_sync t.hac t.prior_auto_sync
   end

@@ -1,10 +1,10 @@
 (** The multi-session server: snapshot-isolated reads, batched
     group-commit writes, admission control, graceful degradation.
 
-    Control flow is single-threaded — [submit]/[pump]/[drain]/[stop] are
-    called from one domain; the domain pool is used only inside [pump] to
-    evaluate a batch's reads concurrently against the current immutable
-    snapshot.  Writes are applied sequentially and settled {e once per
+    Control flow is single-threaded — [submit]/[pump]/[drain]/[stop] and
+    everything they run stay on the caller's domain; [pump] evaluates a
+    batch's reads in order against the current immutable snapshot.  Writes
+    are applied sequentially and settled {e once per
     batch} (group commit: one journal fsync instead of one per mutation);
     acks are released only after the simulated device's durability
     frontier covers the batch.
@@ -16,7 +16,6 @@
     is always a fully settled, fully durable committed-write prefix. *)
 
 type config = {
-  domains : int;  (** Read-evaluation pool width (1 = inline). *)
   max_batch : int;  (** Tickets consumed per pump. *)
   admission : Admission.config;
   read_cost_s : float;  (** Virtual cost of one snapshot read. *)
@@ -59,7 +58,7 @@ val submit : t -> session:string -> Msg.op -> Msg.ticket
 
 val pump : t -> unit
 (** Process one batch: expire overdue tickets, evaluate reads against the
-    snapshot on the pool, apply writes, settle once, confirm durability,
+    snapshot, apply writes, settle once, confirm durability,
     publish the next snapshot and release acks. *)
 
 val drain : ?max_pumps:int -> t -> unit
@@ -70,7 +69,7 @@ val drain : ?max_pumps:int -> t -> unit
     against a device that never honours another fsync. *)
 
 val stop : t -> unit
-(** {!drain}, shut the pool down, restore the engine's auto-sync setting.
+(** {!drain}, then restore the engine's auto-sync setting.
     Subsequent submissions are rejected with [Server_stopped]. *)
 
 val apply_write : Hac_core.Hac.t -> Msg.write -> unit

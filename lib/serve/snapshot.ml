@@ -10,8 +10,7 @@
    rewrite moves the directory's stamp), so the copy cost tracks the
    batch, not the tree.
 
-   Reads here are pure map lookups: safe to run from any pool domain with
-   no locks, no VFS access and no metrics. *)
+   Reads here are pure map lookups: no VFS access and no metrics. *)
 
 module Fs = Hac_vfs.Fs
 module Vpath = Hac_vfs.Vpath

@@ -3,7 +3,7 @@
     Captured at settle boundaries, so a reader never observes torn scope
     state: every read against one snapshot reflects the same
     committed-write prefix ({!seq}).  Reads are pure persistent-map
-    lookups — safe from any pool domain, no locks, no VFS access. *)
+    lookups, with no VFS access. *)
 
 type t
 

@@ -3,11 +3,11 @@
    The server promises snapshot isolation over a single commit order:
    every read it answers reflects exactly the first [seq] committed
    writes, fully settled.  The checker takes that promise literally: it
-   replays the commit log, prefix by prefix, through a {e fresh
-   sequential} engine (no pool, no faults, no store) and re-evaluates
-   every observed read against the twin at its snapshot's prefix.  Any
-   difference is a consistency violation — a read that saw a state no
-   serial execution could produce.
+   replays the commit log, prefix by prefix, through a {e fresh} engine
+   (no faults, no store) and re-evaluates every observed read against the
+   twin at its snapshot's prefix.  Any difference is a consistency
+   violation — a read that saw a state no serial execution could
+   produce.
 
    Settle placement is the one freedom: the server settles once per
    batch, the twin settles at each checked prefix.  Those agree because

@@ -47,7 +47,6 @@ let help_text =
   sact LINK                           show the lines that match the query
   ssync [DIR]                         re-evaluate a directory and its dependents
   sreindex                            settle data consistency now
-  par [N]                             settle now with an N-domain pool (default auto)
   smount DIR demo-library|demo-web    mount a built-in demo namespace
   sumount DIR NS                      unmount a namespace
   sprohibit DIR TARGET                prohibit a target directly
@@ -564,20 +563,6 @@ let rec run s buf line =
                (Hac.sact s.t (resolve s l))
          | "ssync", rest -> Hac.ssync s.t (match rest with [] -> s.wd | d :: _ -> resolve s d)
          | "sreindex", _ -> out buf "reindexed %d files\n" (Hac.reindex s.t ())
-         | "par", rest -> (
-             let domains =
-               match rest with
-               | [] -> Some (Hac_par.Pool.default_domains ())
-               | n :: _ -> (
-                   match int_of_string_opt n with
-                   | Some d when d >= 1 -> Some d
-                   | Some _ | None -> None)
-             in
-             match domains with
-             | None -> out buf "par: expected a positive domain count\n"
-             | Some d ->
-                 Hac.settle ~domains:d s.t;
-                 out buf "settled with %d domain(s)\n" d)
          | "smount", [ d; "demo-library" ] -> resilient_mount s (resolve s d) (demo_library ())
          | "smount", [ d; "demo-web" ] -> resilient_mount s (resolve s d) (demo_web ())
          | "sumount", [ d; ns ] -> Hac.sumount s.t (resolve s d) ~ns_id:ns

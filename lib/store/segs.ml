@@ -119,9 +119,25 @@ let load fs path : (t, string) result =
 
 type lookup = Hit of Fileset.t | Absent | Damaged
 
+let rec digits tok i =
+  i = String.length tok || match tok.[i] with '0' .. '9' -> digits tok (i + 1) | _ -> false
+
+(* A slice as [render] writes it: document ids in decimal, one space
+   apart.  Any other token — negative, not a decimal number, empty, past
+   [max_int] — makes the whole slice [None]: dropping the token would lose
+   postings, where a damaged slice must widen them. *)
+let parse_slice slice =
+  let id tok = if tok <> "" && digits tok 0 then int_of_string tok else failwith "Segs.id" in
+  if slice = "" then Some []
+  else
+    match List.map id (String.split_on_char ' ' slice) with
+    | ids -> Some ids
+    | exception Failure _ -> None
+
 (* [term t key ~on_load] — the posting set of one term key, faulting the
    slice in on first touch.  [on_load] fires once per slice actually read
-   from the device (the [store.seg.loads] instrument). *)
+   from the device (the [store.seg.loads] instrument).  Total: a slice that
+   fails its checksum or does not parse is [Damaged]. *)
 let term t key ~on_load =
   match Hashtbl.find_opt t.loaded key with
   | Some s -> Hit s
@@ -133,15 +149,13 @@ let term t key ~on_load =
           let slice = Fs.pread_ino t.fs t.ino ~pos:(t.base + slot.off) ~len:slot.len in
           if String.length slice <> slot.len || Seal.checksum slice <> slot.crc then
             Damaged
-          else begin
-            let ids =
-              if slice = "" then []
-              else List.filter_map int_of_string_opt (String.split_on_char ' ' slice)
-            in
-            let s = Fileset.of_list ids in
-            Hashtbl.replace t.loaded key s;
-            Hit s
-          end)
+          else
+            match parse_slice slice with
+            | None -> Damaged
+            | Some ids ->
+                let s = Fileset.of_list ids in
+                Hashtbl.replace t.loaded key s;
+                Hit s)
 
 (* Cardinality straight from the verified directory — the planner's cost
    estimate never touches the payload. *)

@@ -1,9 +1,7 @@
-(* Unit and property tests for Hac_bitset: Bitset, Sparse and the adaptive
-   Fileset.  Property tests check every operation against Stdlib's Set as a
+(* Unit and property tests for Hac_bitset: the roaring-backed Fileset.
+   Property tests check every operation against Stdlib's Set as a
    reference model. *)
 
-module Bitset = Hac_bitset.Bitset
-module Sparse = Hac_bitset.Sparse
 module Fileset = Hac_bitset.Fileset
 module IntSet = Set.Make (Int)
 
@@ -13,113 +11,13 @@ let check_int = Alcotest.(check int)
 
 let check_bool = Alcotest.(check bool)
 
-(* -- Bitset units -------------------------------------------------------- *)
-
-let test_bitset_empty () =
-  let s = Bitset.create () in
-  check_int "cardinal" 0 (Bitset.cardinal s);
-  check_bool "is_empty" true (Bitset.is_empty s);
-  check_bool "mem" false (Bitset.mem s 3);
-  check_list "elements" [] (Bitset.elements s)
-
-let test_bitset_add_remove () =
-  let s = Bitset.create () in
-  Bitset.add s 5;
-  Bitset.add s 0;
-  Bitset.add s 200;
-  check_list "elements sorted" [ 0; 5; 200 ] (Bitset.elements s);
-  Bitset.add s 5;
-  check_int "idempotent add" 3 (Bitset.cardinal s);
-  Bitset.remove s 5;
-  check_bool "removed" false (Bitset.mem s 5);
-  Bitset.remove s 5;
-  check_int "idempotent remove" 2 (Bitset.cardinal s);
-  Bitset.remove s 9999 (* beyond allocation: no-op, no exception *)
-
-let test_bitset_growth () =
-  let s = Bitset.create ~capacity:1 () in
-  Bitset.add s 100_000;
-  check_bool "grown mem" true (Bitset.mem s 100_000);
-  check_int "cardinal" 1 (Bitset.cardinal s)
-
-let test_bitset_negative () =
-  let s = Bitset.create () in
-  Alcotest.check_raises "negative add" (Invalid_argument "Bitset.add: negative element")
-    (fun () -> Bitset.add s (-1));
-  check_bool "negative mem" false (Bitset.mem s (-1))
-
-let test_bitset_ops () =
-  let a = Bitset.of_list [ 1; 2; 3; 64; 65 ] in
-  let b = Bitset.of_list [ 2; 64; 999 ] in
-  check_list "union" [ 1; 2; 3; 64; 65; 999 ] (Bitset.elements (Bitset.union a b));
-  check_list "inter" [ 2; 64 ] (Bitset.elements (Bitset.inter a b));
-  check_list "diff" [ 1; 3; 65 ] (Bitset.elements (Bitset.diff a b));
-  check_bool "subset yes" true (Bitset.subset (Bitset.of_list [ 2; 64 ]) a);
-  check_bool "subset no" false (Bitset.subset b a);
-  check_bool "equal self" true (Bitset.equal a (Bitset.copy a));
-  check_bool "equal across sizes" true
-    (Bitset.equal (Bitset.of_list [ 1 ]) (Bitset.of_list [ 1 ]))
-
-let test_bitset_inplace () =
-  let a = Bitset.of_list [ 1; 70 ] in
-  Bitset.union_into a (Bitset.of_list [ 2; 300 ]);
-  check_list "union_into" [ 1; 2; 70; 300 ] (Bitset.elements a);
-  Bitset.inter_into a (Bitset.of_list [ 2; 300; 5 ]);
-  check_list "inter_into" [ 2; 300 ] (Bitset.elements a);
-  Bitset.diff_into a (Bitset.of_list [ 300 ]);
-  check_list "diff_into" [ 2 ] (Bitset.elements a)
-
-let test_bitset_copy_isolated () =
-  let a = Bitset.of_list [ 1 ] in
-  let b = Bitset.copy a in
-  Bitset.add b 2;
-  check_bool "original untouched" false (Bitset.mem a 2)
-
-let test_bitset_choose_max () =
-  let s = Bitset.of_list [ 42; 7; 100 ] in
-  Alcotest.(check (option int)) "choose" (Some 7) (Bitset.choose_opt s);
-  Alcotest.(check (option int)) "max" (Some 100) (Bitset.max_elt_opt s);
-  Alcotest.(check (option int)) "choose empty" None (Bitset.choose_opt (Bitset.create ()));
-  Alcotest.(check (option int)) "max empty" None (Bitset.max_elt_opt (Bitset.create ()))
-
-let test_bitset_clear () =
-  let s = Bitset.of_list [ 1; 2; 3 ] in
-  Bitset.clear s;
-  check_bool "cleared" true (Bitset.is_empty s)
+(* -- Fileset units --------------------------------------------------------- *)
 
 let test_paper_byte_size () =
   (* The paper: 17000 indexed files -> about 2 KB per semantic directory. *)
-  check_int "17000 files" 2125 (Bitset.paper_byte_size ~universe:17000);
-  check_int "8 files" 1 (Bitset.paper_byte_size ~universe:8);
-  check_int "9 files" 2 (Bitset.paper_byte_size ~universe:9)
-
-(* -- Sparse units --------------------------------------------------------- *)
-
-let test_sparse_basic () =
-  let s = Sparse.of_list [ 5; 1; 5; 3 ] in
-  check_list "dedup sorted" [ 1; 3; 5 ] (Sparse.elements s);
-  check_bool "mem" true (Sparse.mem s 3);
-  check_bool "not mem" false (Sparse.mem s 4);
-  check_int "cardinal" 3 (Sparse.cardinal s);
-  check_bool "empty" true (Sparse.is_empty Sparse.empty)
-
-let test_sparse_add_remove () =
-  let s = Sparse.of_list [ 1; 5 ] in
-  let s2 = Sparse.add s 3 in
-  check_list "insert middle" [ 1; 3; 5 ] (Sparse.elements s2);
-  check_list "original immutable" [ 1; 5 ] (Sparse.elements s);
-  let s3 = Sparse.remove s2 1 in
-  check_list "remove head" [ 3; 5 ] (Sparse.elements s3);
-  check_bool "remove absent is same" true (Sparse.equal s (Sparse.remove s 42))
-
-let test_sparse_setops () =
-  let a = Sparse.of_list [ 1; 3; 5 ] and b = Sparse.of_list [ 2; 3; 6 ] in
-  check_list "union" [ 1; 2; 3; 5; 6 ] (Sparse.elements (Sparse.union a b));
-  check_list "inter" [ 3 ] (Sparse.elements (Sparse.inter a b));
-  check_list "diff" [ 1; 5 ] (Sparse.elements (Sparse.diff a b));
-  check_bool "subset" true (Sparse.subset (Sparse.of_list [ 3 ]) a)
-
-(* -- Fileset units --------------------------------------------------------- *)
+  check_int "17000 files" 2125 (Fileset.paper_byte_size ~universe:17000);
+  check_int "8 files" 1 (Fileset.paper_byte_size ~universe:8);
+  check_int "9 files" 2 (Fileset.paper_byte_size ~universe:9)
 
 let test_fileset_adaptive () =
   let small = Fileset.of_list [ 1; 2; 3 ] in
@@ -148,6 +46,85 @@ let test_fileset_filter () =
 
 let test_fileset_empty_range () =
   check_bool "inverted range empty" true (Fileset.is_empty (Fileset.range 5 2))
+
+let test_fileset_empty () =
+  let s = Fileset.empty in
+  check_int "cardinal" 0 (Fileset.cardinal s);
+  check_bool "is_empty" true (Fileset.is_empty s);
+  check_bool "mem" false (Fileset.mem s 3);
+  check_list "elements" [] (Fileset.elements s);
+  check_bool "of_list []" true (Fileset.equal s (Fileset.of_list []));
+  check_bool "subset of anything" true (Fileset.subset s (Fileset.singleton 1));
+  check_bool "remove from empty" true (Fileset.is_empty (Fileset.remove s 3))
+
+(* Functional insert and delete: the argument set never changes, and
+   inserting a member or deleting a non-member is the identity. *)
+let test_fileset_add_remove () =
+  let s = Fileset.of_list [ 5; 0; 200 ] in
+  check_list "elements sorted" [ 0; 5; 200 ] (Fileset.elements s);
+  let s' = Fileset.add s 7 in
+  check_list "insert middle" [ 0; 5; 7; 200 ] (Fileset.elements s');
+  check_list "original untouched by add" [ 0; 5; 200 ] (Fileset.elements s);
+  check_int "idempotent add" 3 (Fileset.cardinal (Fileset.add s 5));
+  let r = Fileset.remove s 5 in
+  check_bool "removed" false (Fileset.mem r 5);
+  check_bool "original untouched by remove" true (Fileset.mem s 5);
+  check_bool "remove absent" true (Fileset.equal s (Fileset.remove s 42));
+  check_bool "remove past the last chunk" true (Fileset.equal s (Fileset.remove s 1_000_000));
+  (* Removing a chunk's last element drops the chunk. *)
+  let t = Fileset.remove (Fileset.of_list [ 1; 70_000 ]) 70_000 in
+  check_list "one element left" [ 1 ] (Fileset.elements t);
+  check_int "one chunk left" 1 (Fileset.container_stats t).containers;
+  check_bool "equal to the one-chunk set" true (Fileset.equal t (Fileset.singleton 1))
+
+(* Identifiers far past the first chunks: the chunk key is the high bits
+   of the identifier, so sets stay sparse however large the ids grow. *)
+let test_fileset_large_ids () =
+  let big = [ 1 lsl 20; (1 lsl 32) + 5; (1 lsl 40) + 65_535; max_int ] in
+  let s = Fileset.of_list (3 :: big) in
+  check_list "elements" (3 :: big) (Fileset.elements s);
+  List.iter (fun v -> check_bool (Printf.sprintf "mem %d" v) true (Fileset.mem s v)) big;
+  check_bool "neighbour absent" false (Fileset.mem s ((1 lsl 40) + 65_536));
+  check_int "one chunk each" 5 (Fileset.container_stats s).containers;
+  check_bool "byte size stays small" true (Fileset.byte_size s < 8 * 16);
+  let r = Fileset.range ((1 lsl 40) - 2) ((1 lsl 40) + 1) in
+  check_int "range across a high chunk boundary" 4 (Fileset.cardinal r);
+  check_list "inter with the range" [ (1 lsl 40) + 1 ]
+    (Fileset.elements (Fileset.inter r (Fileset.of_list [ 5; (1 lsl 40) + 1 ])))
+
+(* File identifiers are non-negative: constructors refuse a negative id,
+   and lookups and deletes treat one as absent. *)
+let test_fileset_negative () =
+  Alcotest.check_raises "negative add" (Invalid_argument "Roaring.add: negative element")
+    (fun () -> ignore (Fileset.add Fileset.empty (-1)));
+  Alcotest.check_raises "negative in a list"
+    (Invalid_argument "Roaring.of_list: negative element") (fun () ->
+      ignore (Fileset.of_list [ 3; -1 ]));
+  Alcotest.check_raises "negative singleton"
+    (Invalid_argument "Roaring.singleton: negative element") (fun () ->
+      ignore (Fileset.singleton (-4)));
+  let s = Fileset.of_list [ 0; 1 ] in
+  check_bool "negative mem" false (Fileset.mem s (-1));
+  check_bool "negative remove" true (Fileset.equal s (Fileset.remove s (-1)));
+  check_list "range clamps at zero" [ 0; 1; 2 ] (Fileset.elements (Fileset.range (-3) 2))
+
+let test_fileset_choose_max () =
+  let opt = Alcotest.(check (option int)) in
+  let s = Fileset.of_list [ 42; 7; 100 ] in
+  opt "choose" (Some 7) (Fileset.choose_opt s);
+  opt "max" (Some 100) (Fileset.max_elt_opt s);
+  let chunks = Fileset.of_list [ 70_000; 3; 200_000 ] in
+  opt "choose across chunks" (Some 3) (Fileset.choose_opt chunks);
+  opt "max across chunks" (Some 200_000) (Fileset.max_elt_opt chunks);
+  let runs = Fileset.range 65_000 70_000 in
+  opt "choose run container" (Some 65_000) (Fileset.choose_opt runs);
+  opt "max run container" (Some 70_000) (Fileset.max_elt_opt runs);
+  let bitmap = Fileset.of_list (List.init 5001 (fun i -> (2 * i) + 1)) in
+  check_int "bitmap container" 1 (Fileset.container_stats bitmap).bitmaps;
+  opt "choose bitmap" (Some 1) (Fileset.choose_opt bitmap);
+  opt "max bitmap" (Some 10_001) (Fileset.max_elt_opt bitmap);
+  opt "choose empty" None (Fileset.choose_opt Fileset.empty);
+  opt "max empty" None (Fileset.max_elt_opt Fileset.empty)
 
 (* -- Roaring container units ----------------------------------------------- *)
 
@@ -242,11 +219,6 @@ let test_roaring_stream_spill () =
       (2000, 7, 60_000); (3, 1, 131_070); (1, 1, 0);
     ]
 
-let test_roaring_of_bitset () =
-  let b = Bitset.of_list [ 0; 63; 64; 100_000 ] in
-  let s = Fileset.of_bitset b in
-  check_list "of_bitset" [ 0; 63; 64; 100_000 ] (Fileset.elements s)
-
 let test_roaring_builder () =
   let bld = Fileset.Builder.create () in
   Fileset.Builder.add bld 7;
@@ -280,29 +252,6 @@ let small_int_list = QCheck.(small_list (int_bound 400))
 
 let model_of l = IntSet.of_list l
 
-let prop_bitset_matches_model =
-  QCheck.Test.make ~name:"bitset setops match Set model" ~count:300
-    QCheck.(pair small_int_list small_int_list)
-    (fun (la, lb) ->
-      let a = Bitset.of_list la and b = Bitset.of_list lb in
-      let ma = model_of la and mb = model_of lb in
-      Bitset.elements (Bitset.union a b) = IntSet.elements (IntSet.union ma mb)
-      && Bitset.elements (Bitset.inter a b) = IntSet.elements (IntSet.inter ma mb)
-      && Bitset.elements (Bitset.diff a b) = IntSet.elements (IntSet.diff ma mb)
-      && Bitset.cardinal a = IntSet.cardinal ma
-      && Bitset.subset a b = IntSet.subset ma mb)
-
-let prop_sparse_matches_model =
-  QCheck.Test.make ~name:"sparse setops match Set model" ~count:300
-    QCheck.(pair small_int_list small_int_list)
-    (fun (la, lb) ->
-      let a = Sparse.of_list la and b = Sparse.of_list lb in
-      let ma = model_of la and mb = model_of lb in
-      Sparse.elements (Sparse.union a b) = IntSet.elements (IntSet.union ma mb)
-      && Sparse.elements (Sparse.inter a b) = IntSet.elements (IntSet.inter ma mb)
-      && Sparse.elements (Sparse.diff a b) = IntSet.elements (IntSet.diff ma mb)
-      && Sparse.subset a b = IntSet.subset ma mb)
-
 let prop_fileset_matches_model =
   QCheck.Test.make ~name:"fileset setops match Set model" ~count:300
     QCheck.(pair small_int_list small_int_list)
@@ -322,14 +271,6 @@ let prop_fileset_add_remove =
       && (not (Fileset.mem (Fileset.remove s x) x))
       && Fileset.cardinal (Fileset.add s x)
          = Fileset.cardinal s + if Fileset.mem s x then 0 else 1)
-
-let prop_bitset_iter_sorted =
-  QCheck.Test.make ~name:"bitset iterates in increasing order" ~count:200
-    small_int_list
-    (fun l ->
-      let s = Bitset.of_list l in
-      let elems = Bitset.elements s in
-      elems = List.sort_uniq compare l)
 
 (* -- Roaring differential properties ---------------------------------------
 
@@ -447,6 +388,11 @@ let prop_roaring_byte_size_sane =
       && (let st = Fileset.container_stats s in
           st.arrays + st.bitmaps + st.run_containers = st.containers))
 
+let prop_roaring_choose_max =
+  QCheck.Test.make ~name:"roaring choose/max match model" ~count:100 roaring_list (fun l ->
+      let s = Fileset.of_list l and m = model_of l in
+      Fileset.choose_opt s = IntSet.min_elt_opt m && Fileset.max_elt_opt s = IntSet.max_elt_opt m)
+
 let prop_roaring_builder_matches_model =
   QCheck.Test.make ~name:"roaring builder add/remove stream matches model" ~count:80
     QCheck.(pair roaring_list roaring_list)
@@ -461,31 +407,18 @@ let prop_roaring_builder_matches_model =
 let () =
   Alcotest.run "bitset"
     [
-      ( "bitset",
-        [
-          Alcotest.test_case "empty" `Quick test_bitset_empty;
-          Alcotest.test_case "add/remove" `Quick test_bitset_add_remove;
-          Alcotest.test_case "growth" `Quick test_bitset_growth;
-          Alcotest.test_case "negative elements" `Quick test_bitset_negative;
-          Alcotest.test_case "set operations" `Quick test_bitset_ops;
-          Alcotest.test_case "in-place operations" `Quick test_bitset_inplace;
-          Alcotest.test_case "copy isolation" `Quick test_bitset_copy_isolated;
-          Alcotest.test_case "choose/max" `Quick test_bitset_choose_max;
-          Alcotest.test_case "clear" `Quick test_bitset_clear;
-          Alcotest.test_case "paper byte size" `Quick test_paper_byte_size;
-        ] );
-      ( "sparse",
-        [
-          Alcotest.test_case "basic" `Quick test_sparse_basic;
-          Alcotest.test_case "add/remove" `Quick test_sparse_add_remove;
-          Alcotest.test_case "set operations" `Quick test_sparse_setops;
-        ] );
       ( "fileset",
         [
+          Alcotest.test_case "paper byte size" `Quick test_paper_byte_size;
           Alcotest.test_case "adaptive representation" `Quick test_fileset_adaptive;
           Alcotest.test_case "mixed-repr operations" `Quick test_fileset_ops_mixed_repr;
           Alcotest.test_case "filter" `Quick test_fileset_filter;
           Alcotest.test_case "empty range" `Quick test_fileset_empty_range;
+          Alcotest.test_case "empty" `Quick test_fileset_empty;
+          Alcotest.test_case "add/remove" `Quick test_fileset_add_remove;
+          Alcotest.test_case "large identifiers" `Quick test_fileset_large_ids;
+          Alcotest.test_case "negative elements" `Quick test_fileset_negative;
+          Alcotest.test_case "choose/max" `Quick test_fileset_choose_max;
         ] );
       ( "roaring",
         [
@@ -497,18 +430,14 @@ let () =
           Alcotest.test_case "construction paths agree" `Quick
             test_roaring_equal_construction_paths;
           Alcotest.test_case "stream spill" `Quick test_roaring_stream_spill;
-          Alcotest.test_case "of_bitset" `Quick test_roaring_of_bitset;
           Alcotest.test_case "builder" `Quick test_roaring_builder;
           Alcotest.test_case "byte_size" `Quick test_roaring_byte_size;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_bitset_matches_model;
-            prop_sparse_matches_model;
             prop_fileset_matches_model;
             prop_fileset_add_remove;
-            prop_bitset_iter_sorted;
             prop_roaring_binops_match_model;
             prop_roaring_equal_subset;
             prop_roaring_inter_many;
@@ -516,6 +445,7 @@ let () =
             prop_roaring_filter;
             prop_roaring_add_remove;
             prop_roaring_byte_size_sane;
+            prop_roaring_choose_max;
             prop_roaring_builder_matches_model;
           ] );
     ]

@@ -98,6 +98,28 @@ let test_topo_all () =
   check_bool "1 first" true (pos 1 < pos 2 && pos 1 < pos 3);
   check_bool "4 last" true (pos 4 > pos 2 && pos 4 > pos 3)
 
+(* A chain hanging off one side of a wide fan: the schedule [affected]
+   hands the sequential settle must follow every path out of the start. *)
+let test_affected_fan_and_chain () =
+  let g = Depgraph.create () in
+  ok (Depgraph.set_deps g 10 [ 1 ]);
+  ok (Depgraph.set_deps g 11 [ 1 ]);
+  ok (Depgraph.set_deps g 12 [ 1 ]);
+  ok (Depgraph.set_deps g 20 [ 10 ]);
+  ok (Depgraph.set_deps g 30 [ 20; 11 ]);
+  let order = Depgraph.affected g 1 in
+  check_list "every dependent of the root" [ 10; 11; 12; 20; 30 ] (List.sort compare order);
+  let pos x = Option.get (List.find_index (( = ) x) order) in
+  check_bool "chain in order" true (pos 10 < pos 20 && pos 20 < pos 30);
+  check_bool "short side before the join" true (pos 11 < pos 30);
+  check_list "from the chain's head" [ 20; 30 ] (Depgraph.affected g 10);
+  check_list "from the short side" [ 30 ] (Depgraph.affected g 11);
+  check_list "a leaf of the fan" [] (Depgraph.affected g 12);
+  (* The schedule follows an edit: 30 no longer hangs off 11. *)
+  ok (Depgraph.set_deps g 30 [ 20 ]);
+  check_list "dropped edge" [] (Depgraph.affected g 11);
+  check_list "chain kept" [ 20; 30 ] (Depgraph.affected g 10)
+
 let test_remove_node_detaches () =
   let g = diamond () in
   Depgraph.remove_node g 2;
@@ -154,61 +176,50 @@ let prop_affected_closed =
         (fun n -> List.for_all (fun d -> List.mem d aff) (Depgraph.dependents g n))
         (start :: aff))
 
-(* -- antichain levels (the parallel settle schedule) ---------------------- *)
-
-let test_levels_diamond () =
-  let g = diamond () in
-  check_list "level 0" [ 1 ] (List.nth (Depgraph.levels g) 0);
-  check_list "level 1" [ 2; 3 ] (List.nth (Depgraph.levels g) 1);
-  check_list "level 2" [ 4 ] (List.nth (Depgraph.levels g) 2);
-  check_int "levels" 3 (List.length (Depgraph.levels g))
-
-let test_levels_of_subset () =
-  let g = diamond () in
-  (* Restricted to {2; 3; 4}: 2 and 3 lose their only (external) dependency
-     and become the first wave. *)
-  Alcotest.(check (list (list int)))
-    "subset levels"
-    [ [ 2; 3 ]; [ 4 ] ]
-    (Depgraph.levels_of g [ 4; 3; 2 ]);
-  Alcotest.(check (list (list int))) "empty set" [] (Depgraph.levels_of g [])
-
-(* Every property the level engine relies on, over random DAGs: the levels
-   partition the node set, concatenation is a valid topological order, and
-   no node's dependency shares (or follows) its level. *)
-let levels_properties g =
-  let levels = Depgraph.levels g in
-  let flat = List.concat levels in
-  let partition =
-    List.sort compare flat = List.sort compare (Depgraph.topo_all g)
-    && List.length flat = Depgraph.node_count g
+(* Every UID reachable from [start] along dependent edges, [start] excluded. *)
+let transitive_dependents g start =
+  let seen = Hashtbl.create 16 in
+  let rec visit n =
+    List.iter
+      (fun d ->
+        if d <> start && not (Hashtbl.mem seen d) then begin
+          Hashtbl.replace seen d ();
+          visit d
+        end)
+      (Depgraph.dependents g n)
   in
-  let level_of = Hashtbl.create 16 in
-  List.iteri (fun i level -> List.iter (fun n -> Hashtbl.replace level_of n i) level) levels;
-  let deps_strictly_earlier =
-    List.for_all
-      (fun n ->
-        List.for_all
-          (fun d -> Hashtbl.find level_of d < Hashtbl.find level_of n)
-          (Depgraph.deps g n))
-      flat
-  in
-  partition && deps_strictly_earlier
+  visit start;
+  Hashtbl.fold (fun n () acc -> n :: acc) seen [] |> List.sort compare
 
-let test_levels_hand_built () =
-  let g = Depgraph.create () in
-  (* A chain hanging off one side of a wide fan. *)
-  ok (Depgraph.set_deps g 10 [ 1 ]);
-  ok (Depgraph.set_deps g 11 [ 1 ]);
-  ok (Depgraph.set_deps g 12 [ 1 ]);
-  ok (Depgraph.set_deps g 20 [ 10 ]);
-  ok (Depgraph.set_deps g 30 [ 20; 11 ]);
-  check_bool "properties hold" true (levels_properties g);
-  check_list "widest wave" [ 10; 11; 12 ] (List.nth (Depgraph.levels g) 1)
+let prop_affected_exact =
+  QCheck.Test.make ~name:"affected is exactly the transitive dependents" ~count:300
+    (QCheck.pair arb_attempts (QCheck.int_bound 12))
+    (fun (attempts, start) ->
+      let g = build_graph attempts in
+      QCheck.assume (Depgraph.mem g start);
+      List.sort compare (Depgraph.affected g start) = transitive_dependents g start)
 
-let prop_levels_sound =
-  QCheck.Test.make ~name:"levels partition topo_all into antichain waves" ~count:300
-    arb_attempts (fun attempts -> levels_properties (build_graph attempts))
+(* The re-evaluation schedule runs each directory once, after every
+   affected directory it depends on. *)
+let prop_affected_ordered =
+  QCheck.Test.make ~name:"affected places deps before dependents" ~count:300
+    (QCheck.pair arb_attempts (QCheck.int_bound 12))
+    (fun (attempts, start) ->
+      let g = build_graph attempts in
+      QCheck.assume (Depgraph.mem g start);
+      let order = Depgraph.affected g start in
+      let pos = Hashtbl.create 16 in
+      List.iteri (fun i n -> Hashtbl.replace pos n i) order;
+      Hashtbl.length pos = List.length order
+      && List.for_all
+           (fun n ->
+             List.for_all
+               (fun d ->
+                 match Hashtbl.find_opt pos d with
+                 | Some i -> i < Hashtbl.find pos n
+                 | None -> true)
+               (Depgraph.deps g n))
+           order)
 
 let prop_no_cycles_ever =
   QCheck.Test.make ~name:"graph stays acyclic under random set_deps" ~count:300 arb_attempts
@@ -240,19 +251,15 @@ let () =
         [
           Alcotest.test_case "affected order" `Quick test_affected_order;
           Alcotest.test_case "topo_all" `Quick test_topo_all;
-        ] );
-      ( "levels",
-        [
-          Alcotest.test_case "diamond" `Quick test_levels_diamond;
-          Alcotest.test_case "subset" `Quick test_levels_of_subset;
-          Alcotest.test_case "hand-built" `Quick test_levels_hand_built;
+          Alcotest.test_case "affected fan and chain" `Quick test_affected_fan_and_chain;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_topo_respects_edges;
             prop_affected_closed;
+            prop_affected_exact;
+            prop_affected_ordered;
             prop_no_cycles_ever;
-            prop_levels_sound;
           ] );
     ]

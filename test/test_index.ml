@@ -263,6 +263,100 @@ let test_reader_failure_filters () =
   check_list "unreadable docs drop out" []
     (Fileset.elements (Search.search_word idx no_reader "quick"))
 
+(* -- per-pass caches ------------------------------------------------------------------- *)
+
+(* A reader over [docs] plus the number of times each path was read. *)
+let counting_reader docs =
+  let reads = Hashtbl.create 8 in
+  let read path =
+    Hashtbl.replace reads path (1 + Option.value ~default:0 (Hashtbl.find_opt reads path));
+    List.assoc_opt path docs
+  in
+  ( { Search.read; may_read = (fun path -> List.mem_assoc path docs) },
+    fun path -> Option.value ~default:0 (Hashtbl.find_opt reads path) )
+
+let test_doc_cache_reads_once () =
+  let idx = make_index () in
+  let r, reads = counting_reader docs in
+  let cache = Search.doc_cache () in
+  (* Phrase terms read every candidate: "quick brown" reads /a.txt, "quick
+     quick" reads /a.txt and /c.txt.  Through one cache each is read once. *)
+  let p1 = Search.search_phrase ~cache idx r [ "quick"; "brown" ] in
+  let p2 = Search.search_phrase ~cache idx r [ "quick"; "quick" ] in
+  let p1' = Search.search_phrase ~cache idx r [ "quick"; "brown" ] in
+  check_list "first phrase" (ids idx [ "/a.txt" ]) (Fileset.elements p1);
+  check_list "second phrase" (ids idx [ "/c.txt" ]) (Fileset.elements p2);
+  check_bool "repeat agrees" true (Fileset.equal p1 p1');
+  check_int "a read once" 1 (reads "/a.txt");
+  check_int "c read once" 1 (reads "/c.txt");
+  let st = Search.doc_cache_stats cache in
+  check_int "misses" 2 st.Search.cache_misses;
+  check_int "hits" 2 st.cache_hits;
+  check_int "docs" 2 st.cache_docs;
+  check_int "bytes"
+    (String.length (List.assoc "/a.txt" docs) + String.length (List.assoc "/c.txt" docs))
+    st.cache_bytes;
+  (* Uncached, the same search reads the document again. *)
+  ignore (Search.search_phrase idx r [ "quick"; "brown" ]);
+  check_int "uncached read" 2 (reads "/a.txt")
+
+let test_doc_cache_budget () =
+  let r, reads = counting_reader docs in
+  (* Room for /a.txt (25 bytes) but not for /d.txt (24 more). *)
+  let cache = Search.doc_cache ~max_bytes:30 () in
+  let content p = Search.cached_content cache r p in
+  Alcotest.(check (option string)) "a cached" (List.assoc_opt "/a.txt" docs) (content "/a.txt");
+  Alcotest.(check (option string)) "d served" (List.assoc_opt "/d.txt" docs) (content "/d.txt");
+  Alcotest.(check (option string)) "d served again" (List.assoc_opt "/d.txt" docs) (content "/d.txt");
+  ignore (content "/a.txt");
+  check_int "a read once" 1 (reads "/a.txt");
+  check_int "d read per lookup" 2 (reads "/d.txt");
+  let st = Search.doc_cache_stats cache in
+  check_int "uncached" 2 st.Search.cache_uncached;
+  check_int "docs" 1 st.cache_docs;
+  check_int "bytes within budget" 25 st.cache_bytes;
+  check_int "hits" 1 st.cache_hits
+
+let test_doc_cache_unreadable () =
+  let r, reads = counting_reader docs in
+  let cache = Search.doc_cache () in
+  Alcotest.(check (option string)) "unreadable" None (Search.cached_content cache r "/gone.txt");
+  Alcotest.(check (option string)) "still unreadable" None
+    (Search.cached_content cache r "/gone.txt");
+  check_int "read once" 1 (reads "/gone.txt");
+  let st = Search.doc_cache_stats cache in
+  check_int "cached as a doc" 1 st.Search.cache_docs;
+  check_int "costs no bytes" 0 st.cache_bytes;
+  check_int "hit" 1 st.cache_hits
+
+(* The term memo serves unrestricted term results once per pass; a
+   restricted evaluation bypasses it, and a scope hint keys it apart. *)
+let test_term_memo () =
+  let idx = make_index () in
+  let r = reader_of docs in
+  let attr ?probe:_ ?within:_ _ _ = Fileset.empty in
+  let dirref ?within:_ _ = Fileset.empty in
+  let memo = Search.term_memo () in
+  let ev = Search.evaluator ~memo idx r ~attr ~dirref in
+  let q = Hac_query.Parser.parse "quick OR lazy" in
+  let expect = Search.eval idx r ~attr ~dirref q in
+  check_list "answer" (ids idx [ "/a.txt"; "/b.txt"; "/c.txt" ]) (Fileset.elements expect);
+  let stats () =
+    let s = Search.term_memo_stats memo in
+    (s.Search.memo_hits, s.memo_misses, s.memo_entries)
+  in
+  let triple = Alcotest.(check (triple int int int)) in
+  check_bool "first" true (Fileset.equal expect (Search.eval_with ev q));
+  triple "two terms computed" (0, 2, 2) (stats ());
+  check_bool "second" true (Fileset.equal expect (Search.eval_with ev q));
+  triple "both served" (2, 2, 2) (stats ());
+  let only_a = Fileset.of_list (ids idx [ "/a.txt" ]) in
+  check_bool "restricted" true
+    (Fileset.equal only_a (Search.eval_with ev ~restrict_to:only_a q));
+  triple "restriction bypasses the memo" (2, 2, 2) (stats ());
+  check_bool "under a hint" true (Fileset.equal expect (Search.eval_with ev ~under:"/" q));
+  triple "hinted terms keyed apart" (2, 4, 4) (stats ())
+
 (* -- properties ----------------------------------------------------------------------- *)
 
 (* Verified search must be invariant under block size: block granularity is
@@ -330,6 +424,13 @@ let () =
           Alcotest.test_case "substring" `Quick test_search_substring;
           Alcotest.test_case "matching lines" `Quick test_matching_lines;
           Alcotest.test_case "unreadable filtered" `Quick test_reader_failure_filters;
+        ] );
+      ( "pass caches",
+        [
+          Alcotest.test_case "doc cache reads once" `Quick test_doc_cache_reads_once;
+          Alcotest.test_case "doc cache byte budget" `Quick test_doc_cache_budget;
+          Alcotest.test_case "doc cache keeps unreadable" `Quick test_doc_cache_unreadable;
+          Alcotest.test_case "term memo" `Quick test_term_memo;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -238,6 +238,53 @@ let test_differential_tracing () =
   let traced = run_workload ~traced:true in
   check_bool "tracing on and off compute identical results" true (plain = traced)
 
+(* Traced, a served read wave leaves one [serve.read_wave] span and, under
+   it, one [serve.read] span per read: tagged with the request's trace id,
+   spanning the wave's virtual interval, carrying a measured CPU time. *)
+let test_read_wave_spans () =
+  let t = Hac.create ~stem:false () in
+  let fs = Hac.fs t in
+  Fs.mkdir_p fs "/docs";
+  List.iter
+    (fun i -> Fs.write_file fs (Printf.sprintf "/docs/r%d.txt" i) (Printf.sprintf "read %d" i))
+    [ 0; 1; 2 ];
+  Hac.settle t;
+  let server = Hac_serve.Server.create t in
+  let tr = Hac.tracer t in
+  Trace.set_enabled tr true;
+  Trace.clear tr;
+  let tickets =
+    List.map
+      (fun i ->
+        Hac_serve.Server.submit server ~session:"s"
+          (Hac_serve.Msg.R (Hac_serve.Msg.Read (Printf.sprintf "/docs/r%d.txt" i))))
+      [ 0; 1; 2 ]
+  in
+  Hac_serve.Server.pump server;
+  let spans = Trace.finished tr in
+  let named n = List.filter (fun sp -> sp.Trace.name = n) spans in
+  match named "serve.read_wave" with
+  | [ wave ] ->
+      let reads = named "serve.read" in
+      check_int "one span per read" 3 (List.length reads);
+      let cost = Hac_serve.Server.default_config.read_cost_s in
+      check_bool "wave spans three reads of virtual time" true
+        (Float.abs (Trace.v_duration wave -. (3.0 *. cost)) < 1e-9);
+      List.iter
+        (fun sp ->
+          check_bool "parented to the wave" true (sp.Trace.parent = Some wave.Trace.id);
+          check_bool "spans the wave's interval" true
+            (sp.Trace.vstart = wave.Trace.vstart && sp.Trace.vstop = wave.Trace.vstop);
+          check_bool "cpu time measured" true (Trace.cpu_duration sp >= 0.0))
+        reads;
+      Alcotest.(check (list string))
+        "tagged with the requests' trace ids"
+        (List.sort compare
+           (List.map (fun (tk : Hac_serve.Msg.ticket) -> Ctx.id_hex tk.trace) tickets))
+        (List.sort compare (List.filter_map (fun sp -> List.assoc_opt "trace" sp.Trace.attrs) reads));
+      Hac_serve.Server.stop server
+  | l -> Alcotest.failf "expected one read-wave span, got %d" (List.length l)
+
 (* -- breaker + namespace metrics ------------------------------------------- *)
 
 let test_breaker_metrics () =
@@ -807,6 +854,7 @@ let () =
         [
           Alcotest.test_case "tracing is behaviour-neutral" `Quick
             test_differential_tracing;
+          Alcotest.test_case "read wave spans" `Quick test_read_wave_spans;
           Alcotest.test_case "breaker gauge and transitions" `Quick test_breaker_metrics;
           Alcotest.test_case "rescache thin reader" `Quick test_rescache_thin_reader;
         ] );

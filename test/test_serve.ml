@@ -128,7 +128,6 @@ let build ?(store = false) ?(mount = false) ~seed () =
 let chaos_config =
   {
     Server.default_config with
-    domains = 2;
     max_batch = 12;
     admission = { Admission.default with queue_bound = 32; slo_s = 20.0; seed };
     settle_budget_s = 1.5;
@@ -403,6 +402,47 @@ let test_semantic_reads_through_server () =
       (* Scope of /srv/q is its parent's subtree — no /ws files in it. *)
       check_int "fresh semdir evaluated in scope" 0 (List.length rows)
   | _ -> Alcotest.fail "links of the new semdir must resolve");
+  Server.stop server
+
+(* A batch's reads run one after another against the snapshot: a wave of
+   [n] reads advances the virtual clock by [n] read costs, and every read
+   in it resolves at the wave's end with the file's contents. *)
+let test_read_wave_charges_each_read () =
+  let rig = build ~seed () in
+  let config = { Server.default_config with max_batch = 3 } in
+  let server = Server.create ~config rig.hac in
+  let clock = Hac.clock rig.hac in
+  let paths = Array.sub rig.files 0 5 in
+  let tickets =
+    Array.map (fun p -> Server.submit server ~session:"a" (Msg.R (Msg.Read p))) paths
+  in
+  let wave ~first ~n =
+    let t0 = Clock.now clock in
+    Server.pump server;
+    let elapsed = Clock.now clock -. t0 in
+    Alcotest.(check (float 1e-9))
+      (Printf.sprintf "wave of %d charges %d reads" n n)
+      (float_of_int n *. config.read_cost_s)
+      elapsed;
+    for k = first to first + n - 1 do
+      let tk = tickets.(k) in
+      match tk.Msg.outcome with
+      | Some (Msg.Replied { reply = Msg.Data d; latency_s; _ }) ->
+          Alcotest.(check string)
+            (Printf.sprintf "read %d contents" k)
+            (Fs.read_file (Hac.fs rig.hac) paths.(k))
+            d;
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "read %d resolves at the wave's end" k)
+            (Clock.now clock -. tk.Msg.submitted_s)
+            latency_s
+      | _ -> Alcotest.failf "read %d must resolve with data" k
+    done
+  in
+  (* max_batch 3: five reads take a wave of three, then a wave of two. *)
+  wave ~first:0 ~n:3;
+  check_bool "the rest still queued" true (tickets.(3).Msg.outcome = None);
+  wave ~first:3 ~n:2;
   Server.stop server
 
 let test_queue_bound_sheds () =
@@ -695,6 +735,8 @@ let () =
         [
           Alcotest.test_case "snapshot isolation" `Quick test_snapshot_isolation;
           Alcotest.test_case "semantic reads" `Quick test_semantic_reads_through_server;
+          Alcotest.test_case "read wave charges each read" `Quick
+            test_read_wave_charges_each_read;
           Alcotest.test_case "queue bound sheds" `Quick test_queue_bound_sheds;
           Alcotest.test_case "session suspension" `Quick test_session_suspension;
           Alcotest.test_case "degraded mode" `Quick test_degraded_sheds_writes_serves_reads;

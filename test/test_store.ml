@@ -16,6 +16,7 @@ module Fs = Hac_vfs.Fs
 module Store = Hac_store.Store
 module Cache = Hac_store.Cache
 module Layout = Hac_store.Layout
+module Segs = Hac_store.Segs
 module Harness = Hac_crash.Harness
 
 let seed =
@@ -584,6 +585,95 @@ let test_segment_damage_degrades_safely () =
       Alcotest.(check bool) "damage was observed and counted" true
         (Hac_obs.Metrics.count i.Store.seg_damaged > 0)
 
+(* A checksum-valid slice whose tokens are not all non-negative integers is
+   damaged: the decoder neither raises nor drops the token (which would
+   lose postings where the caller must widen them to the universe). *)
+let test_segment_bad_tokens_damaged () =
+  let lookup write =
+    let fs = Fs.create () in
+    let path = Layout.segment_path "t.seg" in
+    write fs path;
+    match Segs.load fs path with
+    | Error e -> Alcotest.fail e
+    | Ok seg -> Segs.term seg "w" ~on_load:ignore
+  in
+  (* One slice holding [slice] verbatim under a valid checksum. *)
+  let raw slice fs path =
+    Fs.mkdir_p fs Layout.segs_root;
+    Fs.write_file fs path
+      (Seal.seal_blob
+         (Printf.sprintf "0 %d %08x 2 w\n" (String.length slice) (Seal.checksum slice))
+      ^ slice)
+  in
+  let damaged = function Segs.Damaged -> true | Segs.Hit _ | Segs.Absent -> false in
+  Alcotest.(check bool) "negative id" true
+    (damaged (lookup (fun fs path -> Segs.write fs path [ ("w", [ 3; -1 ]) ])));
+  Alcotest.(check bool) "non-integer token" true (damaged (lookup (raw "3 x7")));
+  Alcotest.(check bool) "empty token" true (damaged (lookup (raw "3  7")));
+  match lookup (raw "3 7") with
+  | Segs.Hit s -> Alcotest.(check (list int)) "well-formed slice" [ 3; 7 ] (Fileset.elements s)
+  | Segs.Damaged | Segs.Absent -> Alcotest.fail "a well-formed slice must load"
+
+(* Re-seal a segment with the last id of every slice made unparsable
+   ("12" -> "12x") and every checksum recomputed: damage that only the
+   slice parser can see. *)
+let mangle_slices fs path =
+  let raw = Fs.read_file fs path in
+  let nl = String.index raw '\n' in
+  let dlen =
+    match String.split_on_char ' ' (String.sub raw 0 nl) with
+    | [ _; len; _ ] -> int_of_string len
+    | _ -> Alcotest.fail (path ^ ": segment header")
+  in
+  let base = nl + 1 + dlen in
+  let dir = Buffer.create 256 and pay = Buffer.create 1024 in
+  String.split_on_char '\n' (String.sub raw (nl + 1) dlen)
+  |> List.iter (fun line ->
+         match String.split_on_char ' ' line with
+         | off :: len :: _crc :: card :: term ->
+             let slice = String.sub raw (base + int_of_string off) (int_of_string len) in
+             let slice = if slice = "" then slice else slice ^ "x" in
+             Printf.bprintf dir "%d %d %08x %s %s\n" (Buffer.length pay) (String.length slice)
+               (Seal.checksum slice) card (String.concat " " term);
+             Buffer.add_string pay slice
+         | _ -> ());
+  Fs.write_file fs path (Seal.seal_blob (Buffer.contents dir) ^ Buffer.contents pay)
+
+(* End to end: a mount whose every slice fails to parse must still answer
+   a fresh query exactly — each damaged slice widens to the universe and
+   verification trims it; no posting is dropped with its token. *)
+let test_unparsable_slices_widen () =
+  let fs = Fs.create () in
+  let t0 = build_corpus fs in
+  Hac.shutdown ~graceful:false t0;
+  let segs =
+    Fs.readdir fs Layout.segs_root
+    |> List.filter (fun n -> Filename.check_suffix n ".seg")
+    |> List.map (fun n -> Layout.segs_root ^ "/" ^ n)
+  in
+  Alcotest.(check bool) "precondition: segments written" true (segs <> []);
+  List.iter (mangle_slices fs) segs;
+  let t, mode = Recover.mount ~stem:false ~budget:4096 fs in
+  Alcotest.(check bool) "re-sealed segments still mount fast" true (mode = `Fast);
+  Hac.smkdir t "/probe" "cyan";
+  Hac.settle t;
+  let oracle = build_corpus (Fs.create ()) in
+  Hac.smkdir oracle "/probe" "cyan";
+  Hac.settle oracle;
+  let links u =
+    Hac.links u "/probe"
+    |> List.map (fun l -> Link.target_key l.Link.target)
+    |> List.sort compare
+  in
+  Alcotest.(check bool) "the probe matches something" true (links oracle <> []);
+  Alcotest.(check (list string)) "unparsable slices answer through verification"
+    (links oracle) (links t);
+  match Hac.store t with
+  | None -> Alcotest.fail "store missing"
+  | Some store ->
+      Alcotest.(check bool) "damage was observed and counted" true
+        (Hac_obs.Metrics.count (Store.instr store).Store.seg_damaged > 0)
+
 (* -- Crash-point sweep over the tier's commit boundaries ------------------- *)
 
 let test_store_crash_sweep () =
@@ -639,6 +729,9 @@ let () =
         [
           Alcotest.test_case "segment damage verified away" `Quick
             test_segment_damage_degrades_safely;
+          Alcotest.test_case "bad slice tokens damaged" `Quick
+            test_segment_bad_tokens_damaged;
+          Alcotest.test_case "unparsable slices widen" `Quick test_unparsable_slices_widen;
         ] );
       ( "crash",
         [ Alcotest.test_case "store sweep no violations" `Quick test_store_crash_sweep ]

@@ -2,7 +2,8 @@
    with the dirty-delta path (Hac.reindex -> Sync.sync_delta) must land on
    exactly the fixpoint the full oracle (Hac.reindex_full -> Sync.sync_all)
    reaches, over arbitrary interleavings of content and structural
-   mutations.  Plus unit tests for the result cache's invalidation rules. *)
+   mutations.  Plus unit tests for the invalidation rules of the result
+   cache and of the per-pass evaluation caches. *)
 
 module Hac = Hac_core.Hac
 module Link = Hac_core.Link
@@ -14,7 +15,13 @@ module Fault = Hac_fault.Fault
 let files = [| "/d0/a.txt"; "/d0/b.txt"; "/d1/c.txt"; "/d1/d.txt"; "/d2/e.txt" |]
 let words = [| "red"; "green"; "blue"; "cyan" |]
 let sem_dirs = [| "/s0"; "/s1"; "/s2" |]
-let queries = [| "red"; "green OR blue"; "blue AND NOT cyan"; "red OR cyan" |]
+
+(* Dirref queries chain directories, so a delta settle must carry one
+   directory's new result into its dependents within the same pass. *)
+let queries =
+  [|
+    "red"; "green OR blue"; "blue AND NOT cyan"; "red OR cyan"; "{/s0} AND green"; "red OR {/s1}";
+  |]
 
 type op =
   | Write of int * int (* file slot, word slot *)
@@ -43,8 +50,8 @@ let gen_op =
         (6, map2 (fun f w -> Write (f, w)) (int_bound 4) (int_bound 3));
         (2, map (fun f -> Delete f) (int_bound 4));
         (2, map2 (fun a b -> Move (a, b)) (int_bound 4) (int_bound 4));
-        (2, map2 (fun d q -> Smkdir (d, q)) (int_bound 2) (int_bound 3));
-        (1, map2 (fun d q -> Schquery (d, q)) (int_bound 2) (int_bound 3));
+        (2, map2 (fun d q -> Smkdir (d, q)) (int_bound 2) (int_bound 5));
+        (1, map2 (fun d q -> Schquery (d, q)) (int_bound 2) (int_bound 5));
         (1, map2 (fun d r -> RemoveLink (d, r)) (int_bound 2) (int_bound 3));
         (1, map2 (fun d f -> AddPerm (d, f)) (int_bound 2) (int_bound 4));
         (1, map2 (fun d f -> Unprohibit (d, f)) (int_bound 2) (int_bound 4));
@@ -170,6 +177,46 @@ let seeded_run seed () =
   Hac.sync_all a;
   Alcotest.(check string) "no-op sync_all is a fixpoint" before (observe a)
 
+(* The persisted metadata area, byte for byte: per-directory structure files
+   are a function of the directory's state, and the journal records the
+   same mutations on both twins. *)
+let persisted t =
+  let fs = Hac.fs t in
+  match Fs.readdir fs "/.hac" with
+  | exception Hac_vfs.Errno.Error _ -> ""
+  | names ->
+      List.sort compare names
+      |> List.map (fun n ->
+             let p = "/.hac/" ^ n in
+             if Fs.is_file fs p then Printf.sprintf "%s:%s" n (Fs.read_file fs p) else n)
+      |> String.concat "\n"
+
+(* A settles through the session entry point ([Hac.settle]: delta plus the
+   journal barrier), B through the full oracle.  After every batch they
+   must agree on what is observable and on what is persisted, and A's end
+   state must be a sync_all fixpoint. *)
+let seeded_settle_run seed () =
+  let rand = Random.State.make [| seed |] in
+  let ops = QCheck.Gen.generate1 ~rand QCheck.Gen.(list_size (int_range 30 60) gen_op) in
+  let a = fresh () and b = fresh () in
+  List.iteri
+    (fun i batch ->
+      List.iter
+        (fun op ->
+          apply a op;
+          apply b op)
+        batch;
+      Hac.settle a;
+      ignore (Hac.reindex_full b ());
+      let what = Printf.sprintf "seed %d batch %d" seed i in
+      Alcotest.(check string) (what ^ ": observable") (observe b) (observe a);
+      Alcotest.(check string) (what ^ ": persisted") (persisted b) (persisted a))
+    (batches ops);
+  Alcotest.(check bool) "metadata area written" true (persisted a <> "");
+  let before = observe a in
+  Hac.sync_all a;
+  Alcotest.(check string) "settled state is a sync_all fixpoint" before (observe a)
+
 (* -- cache invalidation ------------------------------------------------------- *)
 
 let link_names t dir =
@@ -235,6 +282,54 @@ let test_cache_hits_on_steady_state () =
   Alcotest.(check (list string)) "s0 emptied" [] (link_names t "/s0");
   Alcotest.(check (list string)) "s1 gained" [ "a.txt"; "c.txt" ] (link_names t "/s1")
 
+(* The per-pass caches live exactly one settle pass, so a content change
+   between passes must be visible to the next one: nothing may serve the
+   previous pass's tokens or term results. *)
+let test_pass_caches_see_reindex () =
+  let t = fresh () in
+  Hac.write_file t "/d0/a.txt" "plain red text";
+  Hac.write_file t "/d0/b.txt" "plain blue text";
+  Hac.smkdir t "/s0" "red";
+  Hac.smkdir t "/s1" "red";
+  Hac.settle t;
+  Alcotest.(check (list string)) "a in s0" [ "a.txt" ] (link_names t "/s0");
+  Alcotest.(check (list string)) "a in s1" [ "a.txt" ] (link_names t "/s1");
+  (* Flip the contents: the next pass's doc cache must tokenize the new
+     bytes, and its term memo must re-expand "red" from the fresh index. *)
+  Hac.write_file t "/d0/a.txt" "plain blue text";
+  Hac.write_file t "/d0/b.txt" "plain red text";
+  Hac.settle t;
+  Alcotest.(check (list string)) "b in s0" [ "b.txt" ] (link_names t "/s0");
+  Alcotest.(check (list string)) "b in s1" [ "b.txt" ] (link_names t "/s1")
+
+let test_sibling_dirs_share_pass () =
+  (* Many sibling directories with the same query within one pass: the memo
+     serves one evaluation to all of them, and they must all agree. *)
+  let t = fresh () in
+  Hac.write_file t "/d0/a.txt" "red one";
+  Hac.write_file t "/d1/c.txt" "red two";
+  for j = 0 to 5 do
+    Hac.smkdir t (Printf.sprintf "/m%d" j) "red"
+  done;
+  Hac.settle t;
+  let expect = link_names t "/m0" in
+  Alcotest.(check bool) "result is non-trivial" true (expect <> []);
+  for j = 1 to 5 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "/m%d agrees" j)
+      expect
+      (link_names t (Printf.sprintf "/m%d" j))
+  done;
+  Hac.unlink t "/d0/a.txt";
+  Hac.settle t;
+  let expect = link_names t "/m0" in
+  for j = 1 to 5 do
+    Alcotest.(check (list string))
+      (Printf.sprintf "/m%d agrees after delete" j)
+      expect
+      (link_names t (Printf.sprintf "/m%d" j))
+  done
+
 let test_namespace_stale_transition () =
   (* Graceful degradation must be unaffected by the cache: an outage serves
      stale remote entries, recovery drops them — across settles that hit
@@ -277,6 +372,11 @@ let () =
              (fun seed ->
                Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick (seeded_run seed))
              [ 1; 42; 1999 ] );
+      ( "settle",
+        List.map
+          (fun seed ->
+            Alcotest.test_case (Printf.sprintf "seed %d" seed) `Quick (seeded_settle_run seed))
+          [ 7; 1234; 202599 ] );
       ( "cache invalidation",
         [
           Alcotest.test_case "rename retargets" `Quick test_rename_invalidates;
@@ -284,5 +384,10 @@ let () =
           Alcotest.test_case "prohibit/unprohibit" `Quick test_prohibition_invalidates;
           Alcotest.test_case "steady state hits" `Quick test_cache_hits_on_steady_state;
           Alcotest.test_case "namespace outage" `Quick test_namespace_stale_transition;
+        ] );
+      ( "pass caches",
+        [
+          Alcotest.test_case "reindex invalidates" `Quick test_pass_caches_see_reindex;
+          Alcotest.test_case "siblings share a pass" `Quick test_sibling_dirs_share_pass;
         ] );
     ]
