@@ -385,7 +385,8 @@ let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget f
                     Hac_store.Store.cold_lookup store key ~universe:(fun () ->
                         Index.universe ctx.index))
                   ~cost:(Hac_store.Store.cold_cost store)
-                  ~words:(fun () -> Hac_store.Store.cold_words store);
+                  ~words:(fun () -> Hac_store.Store.cold_words store)
+                  ~term_count:(fun () -> Hac_store.Store.cold_term_count store);
                 ctx.store <- Some store;
                 (* Index the delta now, so links to files created since the
                    checkpoint resolve to ids when the semantic structures

@@ -36,6 +36,7 @@ type t = {
   search_candidates : Metrics.counter;
   search_verified : Metrics.counter;
   search_trusted : Metrics.counter;
+  search_words_walked : Metrics.counter;
   sync_full : Metrics.counter;
   sync_delta : Metrics.counter;
   sync_fallback : Metrics.counter;
@@ -101,6 +102,7 @@ let create ~now () =
     search_candidates = Metrics.counter m "search.candidates_expanded";
     search_verified = Metrics.counter m "search.docs_verified";
     search_trusted = Metrics.counter m "search.docs_trusted";
+    search_words_walked = Metrics.counter m "search.words_walked";
     sync_full = Metrics.counter m "sync.full.count";
     sync_delta = Metrics.counter m "sync.delta.count";
     sync_fallback = Metrics.counter m "sync.delta.fallback";
@@ -124,4 +126,5 @@ let flush_probe t (p : Hac_index.Search.probe) =
   Metrics.incr ~by:p.Hac_index.Search.postings_scanned t.search_postings;
   Metrics.incr ~by:p.Hac_index.Search.candidates_expanded t.search_candidates;
   Metrics.incr ~by:p.Hac_index.Search.docs_verified t.search_verified;
-  Metrics.incr ~by:p.Hac_index.Search.docs_trusted t.search_trusted
+  Metrics.incr ~by:p.Hac_index.Search.docs_trusted t.search_trusted;
+  Metrics.incr ~by:p.Hac_index.Search.words_walked t.search_words_walked

@@ -66,6 +66,9 @@ type t = {
   search_verified : Hac_obs.Metrics.counter;
   search_trusted : Hac_obs.Metrics.counter;
       (** Candidates accepted on exact postings without a content read. *)
+  search_words_walked : Hac_obs.Metrics.counter;
+      (** Vocabulary words regex and approximate terms swept for
+          candidates. *)
   sync_full : Hac_obs.Metrics.counter;
   sync_delta : Hac_obs.Metrics.counter;
   sync_fallback : Hac_obs.Metrics.counter;

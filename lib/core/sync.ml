@@ -835,6 +835,9 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
     Hac_vfs.Fd_table.close fds fd;
     content
   in
+  (* Child spans attribute the reindex: the interposed read, tokenizing and
+     posting, the block put, and a compacting rebuild. *)
+  let span name f = Hac_obs.Trace.with_span i.Instr.tracer ~name f in
   let touched = ref Fileset.empty in
   let removed = ref Fileset.empty in
   let forget path =
@@ -849,9 +852,11 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
     (fun path ->
       Hashtbl.remove ctx.dirty path;
       if Fs.is_file ctx.fs path then
-        match read_interposed path with
+        match span "reindex.read" (fun () -> read_interposed path) with
         | content ->
-            let id = Index.update_document ctx.index ~path ~content in
+            let id =
+              span "reindex.post" (fun () -> Index.update_document ctx.index ~path ~content)
+            in
             touched := Fileset.add !touched id;
             (* The settled body becomes the block store's copy — from here
                until the path dirties again, verification reads serve from
@@ -860,7 +865,8 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
                event stream as user activity (and into the journal). *)
             Option.iter
               (fun s ->
-                Ctx.with_maintenance ctx (fun () -> Hac_store.Store.put_doc s id content))
+                span "reindex.put" (fun () ->
+                    Ctx.with_maintenance ctx (fun () -> Hac_store.Store.put_doc s id content)))
               ctx.store
         | exception Hac_vfs.Errno.Error (Hac_vfs.Errno.EACCES, _) ->
             (* The current user may not read it, so it cannot be indexed
@@ -873,11 +879,12 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
   if Index.stale_ratio ctx.index > 0.33 && Index.doc_count ctx.index > 0 then begin
     Hac_obs.Metrics.incr i.Instr.index_rebuilds;
     let live_before = Index.doc_count ctx.index in
-    Index.rebuild ctx.index (fun id ->
-        Option.bind (Index.doc_path ctx.index id) (fun p ->
-            match read_interposed p with
-            | content -> Some content
-            | exception Hac_vfs.Errno.Error _ -> None));
+    span "index.rebuild" (fun () ->
+        Index.rebuild ctx.index (fun id ->
+            Option.bind (Index.doc_path ctx.index id) (fun p ->
+                match read_interposed p with
+                | content -> Some content
+                | exception Hac_vfs.Errno.Error _ -> None)));
     (* Rebuild drops documents whose content became unreadable without any
        event (e.g. a permission change); such removals are invisible to the
        delta, so only a full re-evaluation is safe. *)
@@ -913,21 +920,63 @@ let reindex (ctx : Ctx.t) ?under () = fst (reindex_with_delta ctx ?under ())
    [sync_all].  That fallback is also the property-test oracle: both paths
    must reach the same transient-link fixpoint. *)
 
-let resync_dir_delta pass (ctx : Ctx.t) ~touched ~removed uid =
+(* What a delta can reach, computed once per settle: the delta documents,
+   and every directory some touched document lies under. *)
+type reach = {
+  touched_docs : Fileset.t;
+  delta_docs : Fileset.t;  (* touched or removed *)
+  touched_dirs : (string, unit) Hashtbl.t;
+}
+
+let reach_of (ctx : Ctx.t) (delta : delta) =
+  let touched_dirs = Hashtbl.create 16 in
+  let rec enroll dir =
+    if not (Hashtbl.mem touched_dirs dir) then begin
+      Hashtbl.replace touched_dirs dir ();
+      if dir <> Vpath.root then enroll (Vpath.dirname dir)
+    end
+  in
+  Fileset.iter
+    (fun id -> Option.iter (fun p -> enroll (Vpath.dirname p)) (Index.doc_path ctx.index id))
+    delta.touched;
+  {
+    touched_docs = delta.touched;
+    delta_docs = Fileset.union delta.touched delta.removed;
+    touched_dirs;
+  }
+
+(* A directory under a plain parent other than the root needs no visit
+   when no touched document lies under that parent and its result holds
+   no delta document.  The parent's scope is then exactly the documents
+   under its path, so [candidates] below would be empty, as would
+   [stale]: the visit would change nothing, and computing the parent's
+   scope is what it would cost.  A semantic parent's scope also holds its
+   own result and permanent links, wherever they live, so its children
+   are always visited. *)
+let unreachable (ctx : Ctx.t) reach uid =
+  match parent_uid ctx uid with
+  | Some p when p <> Uidmap.root_uid && Ctx.semdir_of_uid ctx p = None -> (
+      match Uidmap.path_of_uid ctx.uids p with
+      | Some ppath -> not (Hashtbl.mem reach.touched_dirs (Vpath.normalize ppath))
+      | None -> false)
+  | Some _ | None -> false
+
+let resync_dir_delta pass (ctx : Ctx.t) reach uid =
   match (Ctx.semdir_of_uid ctx uid, Uidmap.path_of_uid ctx.uids uid) with
   | None, _ | _, None -> ()
   | Some sd, Some path ->
-      let pscope =
-        match parent_uid ctx uid with
-        | Some p -> scope_in pass ctx p
-        | None -> { local = Fileset.empty; remote = []; mount_uids = [] }
+      (* Current members whose verdict may have been lost (dropped from the
+         parent scope, or from the index altogether), then docs whose
+         verdict must be (re)computed. *)
+      let stale = Fileset.inter reach.delta_docs sd.Semdir.transient_local in
+      let candidates =
+        if Fileset.is_empty stale && unreachable ctx reach uid then Fileset.empty
+        else
+          match parent_uid ctx uid with
+          | Some p -> Fileset.inter reach.touched_docs (scope_in pass ctx p).local
+          | None -> Fileset.empty
       in
-      let delta_all = Fileset.union touched removed in
-      (* Docs whose verdict must be (re)computed, and current members whose
-         verdict may have been lost (dropped from the parent scope, or from
-         the index altogether). *)
-      let candidates = Fileset.inter touched pscope.local in
-      let stale = Fileset.inter delta_all sd.Semdir.transient_local in
+      let delta_all = reach.delta_docs in
       if not (Fileset.is_empty candidates && Fileset.is_empty stale) then begin
         Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
         let adds =
@@ -998,10 +1047,8 @@ let sync_delta (ctx : Ctx.t) delta =
         Hac_obs.Metrics.incr i.Instr.sync_delta;
         let pass = fresh_pass () in
         let dirs = Depgraph.topo_all ctx.deps in
-        List.iter
-          (fun uid ->
-            resync_dir_delta pass ctx ~touched:delta.touched ~removed:delta.removed uid)
-          dirs;
+        let reach = reach_of ctx delta in
+        List.iter (fun uid -> resync_dir_delta pass ctx reach uid) dirs;
         let n_dirs = List.length dirs in
         flush_pass ctx pass;
         Hac_obs.Metrics.observe i.Instr.pass_dirs (float_of_int n_dirs);

@@ -3,14 +3,16 @@ module IntSet = Set.Make (Int)
 type t = {
   out_edges : (int, IntSet.t) Hashtbl.t; (* uid -> its dependencies *)
   in_edges : (int, IntSet.t) Hashtbl.t; (* uid -> its dependents *)
+  mutable order : int list option; (* [topo_all], until the graph changes *)
 }
 
-let create () = { out_edges = Hashtbl.create 64; in_edges = Hashtbl.create 64 }
+let create () = { out_edges = Hashtbl.create 64; in_edges = Hashtbl.create 64; order = None }
 
 let get tbl k = Option.value (Hashtbl.find_opt tbl k) ~default:IntSet.empty
 
 let add_node g uid =
   if not (Hashtbl.mem g.out_edges uid) then begin
+    g.order <- None;
     Hashtbl.replace g.out_edges uid IntSet.empty;
     Hashtbl.replace g.in_edges uid IntSet.empty
   end
@@ -18,6 +20,7 @@ let add_node g uid =
 let mem g uid = Hashtbl.mem g.out_edges uid
 
 let remove_node g uid =
+  g.order <- None;
   IntSet.iter
     (fun dep -> Hashtbl.replace g.in_edges dep (IntSet.remove uid (get g.in_edges dep)))
     (get g.out_edges uid);
@@ -47,6 +50,7 @@ let find_path g ~from ~target =
 
 let set_deps g uid new_deps =
   add_node g uid;
+  g.order <- None;
   let new_deps = List.sort_uniq compare new_deps in
   if List.mem uid new_deps then Error [ uid; uid ]
   else begin
@@ -130,9 +134,15 @@ let topo_of g nodes =
   done;
   List.rev !order
 
+(* Every settle walks the whole order, and the graph changes only when a
+   directory is created, removed or re-queried. *)
 let topo_all g =
-  let nodes = Hashtbl.fold (fun n _ acc -> n :: acc) g.out_edges [] in
-  topo_of g nodes
+  match g.order with
+  | Some order -> order
+  | None ->
+      let order = topo_of g (Hashtbl.fold (fun n _ acc -> n :: acc) g.out_edges []) in
+      g.order <- Some order;
+      order
 
 let affected g uid =
   (* Transitive dependents via reverse edges, then topologically ordered. *)

@@ -41,7 +41,9 @@ val affected : t -> int -> int list
     schedule of the scope-consistency algorithm. *)
 
 val topo_all : t -> int list
-(** Every node, dependencies before dependents. *)
+(** Every node, dependencies before dependents.  Computed once and kept
+    until {!add_node}, {!remove_node} or {!set_deps} (hence
+    {!would_cycle}) next runs. *)
 
 val would_cycle : t -> int -> int list -> bool
 (** [true] when [set_deps] with these edges would be refused. *)

@@ -27,6 +27,41 @@ let find_exact ~pattern text =
     go 0 0
   end
 
+(* A pattern compiled once for many texts: its masks carry each letter's
+   bit under both ASCII cases, so the scan ignores case.  Longer patterns
+   keep their first [max_pattern_len] bytes — every text holding the whole
+   pattern holds that prefix, so [occurs] stays a sound filter. *)
+type exact = { ci_masks : int array; ci_accept : int }
+
+let exact_ci pattern =
+  let pattern =
+    if String.length pattern > max_pattern_len then String.sub pattern 0 max_pattern_len
+    else pattern
+  in
+  let masks = Array.make 256 0 in
+  String.iteri
+    (fun i c ->
+      List.iter
+        (fun c -> masks.(Char.code c) <- masks.(Char.code c) lor (1 lsl i))
+        [ Char.lowercase_ascii c; Char.uppercase_ascii c ])
+    pattern;
+  { ci_masks = masks; ci_accept = (if pattern = "" then 0 else 1 lsl (String.length pattern - 1)) }
+
+let occurs p text =
+  if p.ci_accept = 0 then true
+  else begin
+    let masks = p.ci_masks and accept = p.ci_accept in
+    let n = String.length text in
+    let rec go i r =
+      i < n
+      &&
+      let byte = Char.code (String.unsafe_get text i) in
+      let r = ((r lsl 1) lor 1) land Array.unsafe_get masks byte in
+      r land accept <> 0 || go (i + 1) r
+    in
+    go 0 0
+  end
+
 let count_exact ~pattern text =
   check_pattern pattern;
   let m = String.length pattern in
@@ -90,6 +125,10 @@ let find_approx ~pattern ~errors text =
 let matches_approx ~pattern ~errors text =
   find_approx ~pattern ~errors text <> None
 
+(* Monomorphic: [Stdlib.min] on ints goes through polymorphic compare,
+   three calls per cell of the table below. *)
+let imin (a : int) b = if a < b then a else b
+
 let edit_distance ?cutoff a b =
   let la = String.length a and lb = String.length b in
   let big = la + lb + 1 in
@@ -106,7 +145,7 @@ let edit_distance ?cutoff a b =
       let row_min = ref row.(0) in
       for j = 1 to lb do
         let cost = if a.[i - 1] = b.[j - 1] then 0 else 1 in
-        let v = min (min (row.(j) + 1) (row.(j - 1) + 1)) (!diag + cost) in
+        let v = imin (imin (row.(j) + 1) (row.(j - 1) + 1)) (!diag + cost) in
         diag := row.(j);
         row.(j) <- v;
         if v < !row_min then row_min := v

@@ -14,6 +14,22 @@ val find_exact : pattern:string -> string -> int option
     [None].  The empty pattern matches at 0.  Raises [Invalid_argument] when
     the pattern is too long. *)
 
+type exact
+(** A pattern compiled once for a case-insensitive exact scan of many
+    texts. *)
+
+val exact_ci : string -> exact
+(** Compile a pattern for {!occurs}.  ASCII letters match either case.  A
+    pattern longer than {!max_pattern_len} keeps its first
+    {!max_pattern_len} bytes, so {!occurs} may then answer [true] for a
+    text holding only that prefix, never [false] for one holding the whole
+    pattern. *)
+
+val occurs : exact -> string -> bool
+(** Whether the text contains the compiled pattern, ignoring ASCII case —
+    one bit-parallel pass, no allocation.  The empty pattern occurs
+    everywhere. *)
+
 val count_exact : pattern:string -> string -> int
 (** Number of (possibly overlapping) exact occurrences. *)
 

@@ -12,8 +12,10 @@
    Removing a document does not erase its postings (the [alive] set is
    intersected in), and renaming a document does not move its old postings
    between partitions — the document joins the [relabeled] set, which is
-   unioned into every scoped answer so it stays a sound superset.  A
-   relabeled document is a candidate for every scoped term, so its
+   unioned into every scoped answer, and into every answer bounded by a
+   small [within] (read off its members' own labels' partitions), so both
+   stay sound supersets.  A relabeled document is a candidate for every
+   scoped or bounded term, so its
    postings cannot vouch for it: the index lists it (with every document
    rewritten in place) as unvouched, and verification cleans those
    candidates.  Every other live candidate carries a posting of the term
@@ -215,6 +217,17 @@ let fold_terms t f acc =
     (fun key _ acc -> match decode_key key with Some term -> f term acc | None -> acc)
     t.terms acc
 
+let fold_words t f acc =
+  Hashtbl.fold
+    (fun key _ acc ->
+      if String.starts_with ~prefix:"w:" key then f (String.sub key 2 (String.length key - 2)) acc
+      else acc)
+    t.terms acc
+
+let term_count t = Hashtbl.length t.terms
+
+let has_word t w = Hashtbl.mem t.terms (word_key w)
+
 let post t key id =
   let e =
     match Hashtbl.find_opt t.terms key with
@@ -286,10 +299,43 @@ let union_all e =
       e.all <- Some s;
       s
 
-let candidates ?under t key =
-  match Hashtbl.find_opt t.terms key with
-  | None -> Fileset.empty
-  | Some e ->
+(* The members of [within] holding the term, read off their own labels'
+   partitions.  A document posts under the label it has when posted, and
+   keeps that label until a rename moves it across the partition
+   dimension, which parks it in [relabeled]: so a member holding the term
+   sits in its current label's partition or in [relabeled].  The union of
+   [relabeled] is what keeps this sound off the delta path too — a
+   document renamed without a re-post still has its postings under the
+   old label. *)
+let within_parts t e within =
+  let relabeled = Fileset.Builder.cardinal t.relabeled > 0 in
+  Fileset.filter
+    (fun id ->
+      Fileset.Builder.mem t.alive id
+      && ((relabeled && Fileset.Builder.mem t.relabeled id)
+         ||
+         (* A live document always has a label: [note_doc] sets both. *)
+         match Hashtbl.find_opt e.parts t.doc_label.(id) with
+         | Some p -> Fileset.mem (vec_snapshot p) id
+         | None -> false))
+    within
+
+(* Appended postings, duplicates included: an upper bound on the term's
+   documents, read without forcing a snapshot. *)
+let postings e = Hashtbl.fold (fun _ p acc -> acc + vec_card p) e.parts 0
+
+(* Every posting appended since the last union invalidates [e.all], and
+   re-unioning costs every partition's postings; a [within] smaller than
+   that (a settle's delta, or an AND chain's running result) is answered
+   from its own members' partitions instead.  A still-valid union is
+   always used: intersecting it costs nothing, and AND chains over a
+   settled index keep hitting it. *)
+let candidates ?within ?under t key =
+  match (Hashtbl.find_opt t.terms key, within) with
+  | None, _ -> Fileset.empty
+  | Some e, Some w when Option.is_none e.all && Fileset.cardinal w < postings e ->
+      within_parts t e w
+  | Some e, _ ->
       let raw =
         match under with
         | None -> union_all e
@@ -312,9 +358,9 @@ let candidates ?under t key =
       in
       Fileset.inter raw (Fileset.Builder.snapshot t.alive)
 
-let word_candidates ?under t w = candidates ?under t (word_key w)
+let word_candidates ?within ?under t w = candidates ?within ?under t (word_key w)
 
-let attr_candidates ?under t k v = candidates ?under t (attr_key k v)
+let attr_candidates ?within ?under t k v = candidates ?within ?under t (attr_key k v)
 
 (* -- measured costs ----------------------------------------------------------
 
@@ -327,12 +373,11 @@ let cost ?under t key =
   match Hashtbl.find_opt t.terms key with
   | None -> 0
   | Some e -> (
-      let sum_all () = Hashtbl.fold (fun _ p acc -> acc + vec_card p) e.parts 0 in
       match under with
-      | None -> sum_all ()
+      | None -> postings e
       | Some under -> (
           match covered_labels t under with
-          | None -> sum_all ()
+          | None -> postings e
           | Some lids ->
               List.fold_left
                 (fun acc lid ->

@@ -51,6 +51,17 @@ val decode_key : string -> term option
 (** Inverse of {!word_key}/{!attr_key}; [None] for a string neither
     produces. *)
 
+val fold_words : t -> (string -> 'a -> 'a) -> 'a -> 'a
+(** Fold over every word term ever posted since the last {!reset}, walking
+    the term table in place (no list is built). *)
+
+val term_count : t -> int
+(** Number of terms, word and attribute, in O(1): an upper bound on the
+    words {!fold_words} visits. *)
+
+val has_word : t -> string -> bool
+(** Whether the word has a term entry. *)
+
 val fold_terms : t -> (term -> 'a -> 'a) -> 'a -> 'a
 (** Fold over every term ever posted since the last {!reset}, decoded —
     including terms whose documents have all died.  No snapshot is forced. *)
@@ -60,13 +71,25 @@ val iter_terms : t -> (string -> Hac_bitset.Fileset.t -> unit) -> unit
     documents masked out).  Forces partition snapshots — a dump-time cost,
     like {!stats}. *)
 
-val word_candidates : ?under:string -> t -> string -> Hac_bitset.Fileset.t
+val word_candidates :
+  ?within:Hac_bitset.Fileset.t -> ?under:string -> t -> string -> Hac_bitset.Fileset.t
 (** Live documents that may contain the word.  With [?under] (a normalized
     absolute directory) only the partitions whose label can hold documents
     under that scope are unioned — a superset of (word docs ∩ docs under
-    scope), to be verified by the caller. *)
+    scope), to be verified by the caller.  With [?within], the answer may be
+    any superset of (word docs ∩ [within]) the lookup finds cheapest: when
+    postings since the last lookup invalidated the term's cached union and
+    [within] holds fewer documents than the term's postings, only
+    [within]'s members are probed, each in its own label's partition, plus
+    the relabeled set. *)
 
-val attr_candidates : ?under:string -> t -> string -> string -> Hac_bitset.Fileset.t
+val attr_candidates :
+  ?within:Hac_bitset.Fileset.t ->
+  ?under:string ->
+  t ->
+  string ->
+  string ->
+  Hac_bitset.Fileset.t
 
 val word_cost : ?under:string -> t -> string -> int
 (** Measured candidate-cardinality estimate: sum of the covered partitions'

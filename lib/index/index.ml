@@ -13,6 +13,7 @@ type cold = {
   lookup : string -> Fileset.t;
   cost : string -> int;
   words : unit -> string list;  (* stemmed words with cold postings *)
+  term_count : unit -> int;  (* terms in the segment directories, an upper bound on [words] *)
 }
 
 type t = {
@@ -47,7 +48,8 @@ let create ?(block_size = 1) ?(stem = true) ?transducer () =
     cold = None;
   }
 
-let set_cold t ~lookup ~cost ~words = t.cold <- Some { lookup; cost; words }
+let set_cold t ~lookup ~cost ~words ~term_count =
+  t.cold <- Some { lookup; cost; words; term_count }
 
 let clear_cold t = t.cold <- None
 
@@ -267,31 +269,50 @@ let finish ?within t c =
    contain documents under the given directory — sound because every answer
    is a verified superset, and the caller intersects the final result with
    the scope set anyway. *)
-let candidate_docs ?within ?under t w =
-  let w = key t w in
-  finish ?within t (with_cold t (Cas.word_candidates ?under t.cas w) (Cas.word_key w))
+let word_docs ?within ?under t w =
+  with_cold t (Cas.word_candidates ?within ?under t.cas w) (Cas.word_key w)
+
+let candidate_docs ?within ?under t w = finish ?within t (word_docs ?within ?under t (key t w))
 
 let attr_docs ?within ?under t key value =
   let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
   finish ?within t
-    (with_cold t (Cas.attr_candidates ?under t.cas key value) (Cas.attr_key key value))
+    (with_cold t (Cas.attr_candidates ?within ?under t.cas key value) (Cas.attr_key key value))
 
 (* Resident words, then the cold provider's: adopted documents' vocabulary
    lives only in segment directories, so approximate and regex queries must
-   sweep both or go blind to everything a fast mount did not reindex. *)
+   sweep both or go blind to everything a fast mount did not reindex.  The
+   resident term table is walked in place; a cold word that is also
+   resident is skipped, as its resident lookup already unions the cold
+   postings. *)
 let fold_words t f acc =
-  let acc =
-    Cas.fold_terms t.cas
-      (fun term acc -> match term with Cas.Word w -> f w acc | Cas.Attr _ -> acc)
-      acc
-  in
+  let acc = Cas.fold_words t.cas f acc in
   match t.cold with
   | None -> acc
-  | Some cold -> List.fold_left (fun acc w -> f w acc) acc (cold.words ())
+  | Some cold ->
+      List.fold_left
+        (fun acc w -> if Cas.has_word t.cas w then acc else f w acc)
+        acc (cold.words ())
+
+let word_count t =
+  Cas.term_count t.cas + match t.cold with None -> 0 | Some c -> c.term_count ()
 
 let vocabulary t = List.sort_uniq compare (fold_words t List.cons [])
 
 let vocabulary_size t = List.length (vocabulary t)
+
+(* Every vocabulary word [pick] accepts, with the union of their postings;
+   [pick] sees indexed (stemmed) words.  Returns the words walked too. *)
+let sweep_words ?within ?under t pick =
+  let walked = ref 0 in
+  let docs =
+    fold_words t
+      (fun w acc ->
+        incr walked;
+        if pick w then Fileset.union acc (word_docs ?within ?under t w) else acc)
+      Fileset.empty
+  in
+  (finish ?within t docs, !walked)
 
 let attributes t =
   Cas.fold_terms t.cas
@@ -300,14 +321,8 @@ let attributes t =
   |> List.sort compare
 
 let candidate_docs_approx ?within t ~word ~errors =
-  let word = key t word in
-  fold_words t
-    (fun w acc ->
-      if Agrep.word_matches ~pattern:word ~errors w then
-        Fileset.union acc (with_cold t (Cas.word_candidates t.cas w) (Cas.word_key w))
-      else acc)
-    Fileset.empty
-  |> finish ?within t
+  let pattern = key t word in
+  fst (sweep_words ?within t (Agrep.word_matches ~pattern ~errors))
 
 (* Snapshot of the by_dir builder: cached between mutations, so repeated
    scope computations over a settled tree cost a hashtable lookup. *)

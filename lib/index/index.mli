@@ -85,6 +85,7 @@ val set_cold :
   lookup:(string -> Hac_bitset.Fileset.t) ->
   cost:(string -> int) ->
   words:(unit -> string list) ->
+  term_count:(unit -> int) ->
   unit
 (** Install a cold-postings provider: term lookups over on-disk segments not
     loaded into memory, keyed by the {!Cas} flat term encodings.  Its sets
@@ -92,7 +93,9 @@ val set_cold :
     trimmed by verification, as {!unvouched} names every candidate while a
     provider is installed — an over-broad provider costs work, never
     correctness), its costs added to {!term_cost}/{!attr_cost}, and its
-    [words] swept by approximate queries. *)
+    [words] swept by approximate and regex queries.  [term_count] bounds the
+    number of [words] from above without building them (it may count
+    attribute terms and duplicates); {!word_count} adds it in. *)
 
 val clear_cold : t -> unit
 (** Remove the cold provider ({!rebuild} also does). *)
@@ -141,6 +144,24 @@ val candidate_docs :
     intersects the final result with a subtree scope below [under].
     [?within] intersects the answer with the given set. *)
 
+val word_count : t -> int
+(** An upper bound on the words {!sweep_words} walks, read from counts
+    alone — O(1) plus one call of the cold provider's [term_count]: what
+    deciding whether a sweep pays may read. *)
+
+val sweep_words :
+  ?within:Hac_bitset.Fileset.t ->
+  ?under:string ->
+  t ->
+  (string -> bool) ->
+  Hac_bitset.Fileset.t * int
+(** [sweep_words t pick] walks every indexed word — the resident ones in
+    place in the term table, then the cold provider's that are not
+    resident — and answers the union of the candidate documents of every
+    word [pick] accepts ([pick] sees the indexed, stemmed form), with the
+    number of words walked.  [?within] and [?under] as for
+    {!candidate_docs}. *)
+
 val candidate_docs_approx :
   ?within:Hac_bitset.Fileset.t -> t -> word:string -> errors:int -> Hac_bitset.Fileset.t
 (** Union of {!candidate_docs} over every vocabulary word (resident and
@@ -184,7 +205,8 @@ val attributes : t -> (string * string) list
 (** All resident attribute/value pairs, sorted. *)
 
 val vocabulary : t -> string list
-(** All indexed (stemmed) words, resident and cold, sorted. *)
+(** All indexed (stemmed) words, resident and cold, sorted.  Builds and
+    sorts a fresh list: for reports, not for query evaluation. *)
 
 val vocabulary_size : t -> int
 (** Number of distinct indexed words. *)

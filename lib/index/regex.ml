@@ -140,7 +140,9 @@ let parse body =
 
 (* -- Thompson NFA ------------------------------------------------------------- *)
 
-type trans = Eps of int | Test of (char -> bool) * int
+(* An atom's test is a 256-entry table: one byte load per input byte,
+   whatever the class's shape. *)
+type trans = Eps of int | Test of Bytes.t * int
 
 type nfa = {
   states : trans list array; (* out-transitions per state *)
@@ -162,13 +164,22 @@ let new_state b =
 
 let add b s t = b.out.(s) <- t :: b.out.(s)
 
-let test_of = function
-  | Char ch -> fun x -> x = ch
-  | Any -> fun x -> x <> '\n'
+let test_of atom =
+  let set table lo hi v = Bytes.fill table (Char.code lo) (Char.code hi - Char.code lo + 1) v in
+  match atom with
+  | Char ch ->
+      let table = Bytes.make 256 '\000' in
+      set table ch ch '\001';
+      table
+  | Any ->
+      let table = Bytes.make 256 '\001' in
+      set table '\n' '\n' '\000';
+      table
   | Class (negated, ranges) ->
-      fun x ->
-        let inside = List.exists (fun (lo, hi) -> lo <= x && x <= hi) ranges in
-        inside <> negated
+      let inside, outside = if negated then ('\000', '\001') else ('\001', '\000') in
+      let table = Bytes.make 256 outside in
+      List.iter (fun (lo, hi) -> set table lo hi inside) ranges;
+      table
   | Seq _ | Alt _ | Star _ | Plus _ | Opt _ -> assert false
 
 (* Returns (start, final) of a fragment with a single final state. *)
@@ -218,104 +229,6 @@ let rec build b = function
       add b xe (Eps e);
       (s, e)
 
-type t = {
-  source : string;
-  nfa : nfa;
-  anchored_start : bool;
-  anchored_end : bool;
-  ast : ast;
-}
-
-let compile pattern =
-  let anchored_start, anchored_end, body = split_anchors pattern in
-  let ast = parse body in
-  let b = { out = Array.make 16 []; used = 0 } in
-  let start, final = build b ast in
-  {
-    source = pattern;
-    nfa = { states = Array.sub b.out 0 b.used; start; final };
-    anchored_start;
-    anchored_end;
-    ast;
-  }
-
-let compile_result pattern =
-  match compile pattern with
-  | t -> Ok t
-  | exception Parse_error msg -> Error msg
-
-let source t = t.source
-
-(* -- simulation ------------------------------------------------------------------ *)
-
-(* Add [state] and everything epsilon-reachable from it to [set]. *)
-let rec close nfa set state =
-  if not set.(state) then begin
-    set.(state) <- true;
-    List.iter
-      (function Eps target -> close nfa set target | Test _ -> ())
-      nfa.states.(state)
-  end
-
-let step nfa current ch =
-  let next = Array.make (Array.length nfa.states) false in
-  Array.iteri
-    (fun s active ->
-      if active then
-        List.iter
-          (function
-            | Test (f, target) -> if f ch then close nfa next target
-            | Eps _ -> ())
-          nfa.states.(s))
-    current;
-  next
-
-let matches t text =
-  let nfa = t.nfa in
-  let n = String.length text in
-  let current = ref (Array.make (Array.length nfa.states) false) in
-  close nfa !current nfa.start;
-  let accepted_at i = !current.(nfa.final) && ((not t.anchored_end) || i = n) in
-  if accepted_at 0 && not t.anchored_end then true
-  else begin
-    let result = ref (accepted_at 0 && n = 0) in
-    let i = ref 0 in
-    while (not !result) && !i < n do
-      let next = step nfa !current text.[!i] in
-      if not t.anchored_start then close nfa next nfa.start;
-      current := next;
-      incr i;
-      if !current.(nfa.final) && ((not t.anchored_end) || !i = n) then result := true
-    done;
-    !result
-  end
-
-let find t text =
-  let nfa = t.nfa in
-  let n = String.length text in
-  let try_from start =
-    let current = ref (Array.make (Array.length nfa.states) false) in
-    close nfa !current nfa.start;
-    if !current.(nfa.final) && ((not t.anchored_end) || start = n) then Some start
-    else begin
-      let found = ref None in
-      let i = ref start in
-      while !found = None && !i < n do
-        current := step nfa !current text.[!i];
-        incr i;
-        if !current.(nfa.final) && ((not t.anchored_end) || !i = n) then found := Some !i
-      done;
-      !found
-    end
-  in
-  let starts = if t.anchored_start then [ 0 ] else List.init (n + 1) (fun i -> i) in
-  List.fold_left
-    (fun acc start ->
-      match acc with
-      | Some _ -> acc
-      | None -> Option.map (fun stop -> (start, stop)) (try_from start))
-    None starts
-
 (* -- literal extraction -------------------------------------------------------------- *)
 
 let is_word_char c =
@@ -325,7 +238,7 @@ let is_word_char c =
    parts count: sequence members and Plus bodies; anything optional,
    repeated-from-zero or alternated is skipped.  Runs never extend across a
    sub-fragment boundary (repetitions may interleave other text). *)
-let required_word t =
+let required_of_ast ast =
   let runs = ref [] in
   let buf = Buffer.create 16 in
   let flush () =
@@ -342,8 +255,128 @@ let required_word t =
         flush ()
     | Alt _ | Star _ | Opt _ -> flush ()
   in
-  walk t.ast;
+  walk ast;
   flush ();
   match List.sort (fun a b -> compare (String.length b) (String.length a)) !runs with
   | longest :: _ -> Some longest
   | [] -> None
+
+type t = {
+  source : string;
+  nfa : nfa;
+  anchored_start : bool;
+  anchored_end : bool;
+  required : string option;
+  prefilter : Agrep.exact option;
+}
+
+let compile pattern =
+  let anchored_start, anchored_end, body = split_anchors pattern in
+  let ast = parse body in
+  let b = { out = Array.make 16 []; used = 0 } in
+  let start, final = build b ast in
+  let required = required_of_ast ast in
+  {
+    source = pattern;
+    nfa = { states = Array.sub b.out 0 b.used; start; final };
+    anchored_start;
+    anchored_end;
+    required;
+    prefilter = Option.map Agrep.exact_ci required;
+  }
+
+let compile_result pattern =
+  match compile pattern with
+  | t -> Ok t
+  | exception Parse_error msg -> Error msg
+
+let source t = t.source
+
+let required_word t = t.required
+
+(* -- simulation ------------------------------------------------------------------ *)
+
+(* Add [state] and everything epsilon-reachable from it to [set]. *)
+let rec close nfa set state =
+  if not set.(state) then begin
+    set.(state) <- true;
+    List.iter
+      (function Eps target -> close nfa set target | Test _ -> ())
+      nfa.states.(state)
+  end
+
+(* The states [current] reaches on [ch], written over [next]: a scan swaps
+   two arrays instead of allocating one per byte. *)
+let step nfa current next ch =
+  Array.fill next 0 (Array.length next) false;
+  let code = Char.code ch in
+  for s = 0 to Array.length current - 1 do
+    if current.(s) then
+      List.iter
+        (function
+          | Test (table, target) ->
+              if Bytes.unsafe_get table code <> '\000' then close nfa next target
+          | Eps _ -> ())
+        nfa.states.(s)
+  done
+
+let swap current next =
+  let c = !current in
+  current := !next;
+  next := c
+
+(* A match contains the required word in some case: the word was read off
+   certain-to-match [Char] atoms and lowercased.  The bit-parallel scan
+   rejects most texts before the simulation starts. *)
+let matches t text =
+  match t.prefilter with
+  | Some p when not (Agrep.occurs p text) -> false
+  | Some _ | None ->
+      let nfa = t.nfa in
+      let n = String.length text in
+      let current = ref (Array.make (Array.length nfa.states) false) in
+      let next = ref (Array.make (Array.length nfa.states) false) in
+      close nfa !current nfa.start;
+      let accepted_at i = !current.(nfa.final) && ((not t.anchored_end) || i = n) in
+      if accepted_at 0 && not t.anchored_end then true
+      else begin
+        let result = ref (accepted_at 0 && n = 0) in
+        let i = ref 0 in
+        while (not !result) && !i < n do
+          step nfa !current !next text.[!i];
+          if not t.anchored_start then close nfa !next nfa.start;
+          swap current next;
+          incr i;
+          if accepted_at !i then result := true
+        done;
+        !result
+      end
+
+let find t text =
+  let nfa = t.nfa in
+  let n = String.length text in
+  let current = ref (Array.make (Array.length nfa.states) false) in
+  let next = ref (Array.make (Array.length nfa.states) false) in
+  let try_from start =
+    Array.fill !current 0 (Array.length !current) false;
+    close nfa !current nfa.start;
+    if !current.(nfa.final) && ((not t.anchored_end) || start = n) then Some start
+    else begin
+      let found = ref None in
+      let i = ref start in
+      while !found = None && !i < n do
+        step nfa !current !next text.[!i];
+        swap current next;
+        incr i;
+        if !current.(nfa.final) && ((not t.anchored_end) || !i = n) then found := Some !i
+      done;
+      !found
+    end
+  in
+  let starts = if t.anchored_start then [ 0 ] else List.init (n + 1) (fun i -> i) in
+  List.fold_left
+    (fun acc start ->
+      match acc with
+      | Some _ -> acc
+      | None -> Option.map (fun stop -> (start, stop)) (try_from start))
+    None starts

@@ -11,11 +11,19 @@ type probe = {
   mutable candidates_expanded : int;
   mutable docs_verified : int;
   mutable docs_trusted : int;
+  mutable words_walked : int;
   mutable terms : int;
 }
 
 let new_probe () =
-  { postings_scanned = 0; candidates_expanded = 0; docs_verified = 0; docs_trusted = 0; terms = 0 }
+  {
+    postings_scanned = 0;
+    candidates_expanded = 0;
+    docs_verified = 0;
+    docs_trusted = 0;
+    words_walked = 0;
+    terms = 0;
+  }
 
 let tick probe f = match probe with Some p -> f p | None -> ()
 
@@ -235,10 +243,9 @@ let search_phrase ?probe ?within ?under ?cache idx reader words =
           (fun w ->
             tick probe (fun p ->
                 p.postings_scanned <- p.postings_scanned + Index.term_cost ?under idx w);
-            Index.candidate_docs ?under idx w)
+            Index.candidate_docs ?within ?under idx w)
           words
       in
-      let sets = match within with Some w -> w :: sets | None -> sets in
       (* Word postings cannot tell adjacency: every candidate is read. *)
       verify_unvouched ?probe ~exact:false idx reader
         (match cache with
@@ -246,23 +253,67 @@ let search_phrase ?probe ?within ?under ?cache idx reader words =
         | Some c -> verify_entry c idx reader (fun e -> entry_has_phrase e words))
         (expanded ?probe (Fileset.inter_many sets))
 
+(* -- sweep terms ---------------------------------------------------------------
+
+   A regex or approximate term has no posting of its own: its candidates
+   are the postings of the vocabulary words it accepts, found by sweeping
+   the whole vocabulary.  Under a [?within] of a few documents — a settle's
+   delta, or an AND chain's running result — verifying those documents
+   directly is cheaper.  The choice reads counts only: the size of
+   [within] and {!Index.word_count}, never the word list itself.
+
+   The crossover is measured, not read off the planner's relative verify
+   weights.  It is the number of sweep steps (one vocabulary word matched
+   and skipped) that verifying one document costs, when the document is
+   read through a fresh pass cache and scanned (regex) or tokenized with
+   every distinct token tested (approx).  Over 700 documents of 60–180
+   words and 4224 distinct words, on a 2-core x86-64 host: a regex sweep
+   step cost 0.04–0.06 µs and a verification 1.2–2.3 µs, about 45 steps;
+   an approximate sweep step 0.21 µs (an edit distance) and a
+   verification 27–31 µs, about 130 steps.  Verifying wins while
+   |within| × steps stays below the word count: up to about 90 documents
+   for a regex and 30 for an approximate term over that vocabulary. *)
+let regex_verify_steps = 45
+
+let approx_verify_steps = 130
+
+let sweep_pays ~steps idx within =
+  match within with
+  | None -> true
+  | Some w -> Fileset.cardinal w * steps > Index.word_count idx
+
+let walked probe n = tick probe (fun p -> p.words_walked <- p.words_walked + n)
+
 (* The candidates are the postings of every vocabulary word within the edit
    distance, and verification asks whether some token's key is such a word:
-   the same predicate over the same tokens, so exact postings vouch. *)
+   the same predicate over the same tokens, so exact postings vouch.  When
+   [within] itself is the candidate set, no posting was consulted, and
+   every member is verified. *)
 let search_approx ?probe ?within ?cache idx reader ~word ~errors =
-  let word = String.lowercase_ascii word in
-  let candidates = expanded ?probe (Index.candidate_docs_approx ?within idx ~word ~errors) in
-  tick probe (fun p -> p.postings_scanned <- p.postings_scanned + Fileset.cardinal candidates);
-  let near x = Agrep.word_matches ~pattern:(key idx word) ~errors (key idx x) in
-  verify_unvouched ?probe ~exact:true idx reader
-    (match cache with
+  let pattern = key idx (String.lowercase_ascii word) in
+  let near k = Agrep.word_matches ~pattern ~errors k in
+  let check =
+    match cache with
     | None ->
         verify idx reader (fun ~path:_ content ->
             let found = ref false in
-            Tokenizer.iter_words content (fun x -> if near x then found := true);
+            Tokenizer.iter_words content (fun x ->
+                if (not !found) && near (key idx x) then found := true);
             !found)
-    | Some c -> verify_entry c idx reader (fun e -> List.exists near (entry_tokens e)))
-    candidates
+    | Some c ->
+        (* The key table holds each distinct token's key once. *)
+        verify_entry c idx reader (fun e ->
+            Hashtbl.fold (fun k () found -> found || near k) (entry_keys idx e) false)
+  in
+  match within with
+  | Some w when not (sweep_pays ~steps:approx_verify_steps idx within) ->
+      verify_unvouched ?probe ~exact:false idx reader check (expanded ?probe w)
+  | Some _ | None ->
+      let docs, n = Index.sweep_words ?within idx near in
+      walked probe n;
+      let candidates = expanded ?probe docs in
+      tick probe (fun p -> p.postings_scanned <- p.postings_scanned + Fileset.cardinal candidates);
+      verify_unvouched ?probe ~exact:true idx reader check candidates
 
 (* Transducer attributes: the postings are what [extract] returned at
    indexing time, lowercased, and verification re-extracts from the current
@@ -293,9 +344,6 @@ let search_substring ?probe idx reader pattern =
   verify_unvouched ?probe ~exact:false idx reader (verify idx reader pred)
     (expanded ?probe (Index.universe idx))
 
-let contains_substring hay needle =
-  Agrep.find_exact ~pattern:needle hay <> None
-
 let search_regex ?probe ?within ?under ?cache idx reader pattern =
   let re = Regex.compile pattern in
   let candidates =
@@ -303,19 +351,24 @@ let search_regex ?probe ?within ?under ?cache idx reader pattern =
        of the document; scanning the vocabulary for it is sound as long as
        the vocabulary holds raw (unstemmed) tokens.  Tokens longer than
        [max_word_len] were truncated, so they are always candidates. *)
-    match Regex.required_word re with
-    | Some run when (not (Index.stemming idx)) && String.length run <= Tokenizer.max_word_len
-      ->
-        List.fold_left
-          (fun acc w ->
-            if String.length w = Tokenizer.max_word_len || contains_substring w run then begin
-              tick probe (fun p ->
-                  p.postings_scanned <- p.postings_scanned + Index.term_cost ?under idx w);
-              Fileset.union acc (Index.candidate_docs ?within ?under idx w)
-            end
-            else acc)
-          Fileset.empty (Index.vocabulary idx)
-    | Some _ | None -> ( match within with Some w -> w | None -> Index.universe idx)
+    match (Regex.required_word re, within) with
+    | Some run, _
+      when (not (Index.stemming idx))
+           && String.length run <= Tokenizer.max_word_len
+           && sweep_pays ~steps:regex_verify_steps idx within ->
+        let lit = Agrep.exact_ci run in
+        let docs, n =
+          Index.sweep_words ?within ?under idx (fun w ->
+              let hit = String.length w = Tokenizer.max_word_len || Agrep.occurs lit w in
+              if hit then
+                tick probe (fun p ->
+                    p.postings_scanned <- p.postings_scanned + Index.term_cost ?under idx w);
+              hit)
+        in
+        walked probe n;
+        docs
+    | _, Some w -> w
+    | _, None -> Index.universe idx
   in
   (* A required literal narrows candidates; only the body decides. *)
   verify_unvouched ?probe ~exact:false idx reader

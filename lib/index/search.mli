@@ -34,6 +34,9 @@ type probe = {
   mutable docs_trusted : int;
       (** Candidates accepted on their postings after a permission check,
           without reading their contents. *)
+  mutable words_walked : int;
+      (** Vocabulary words a regex or approximate term swept for
+          candidates (0 when it verified its [?within] directly). *)
   mutable terms : int;  (** Query terms evaluated through {!eval}. *)
 }
 (** Per-evaluation profiling accumulator.  Pass one [?probe] through a
@@ -126,7 +129,11 @@ val search_approx :
   errors:int ->
   Hac_bitset.Fileset.t
 (** Documents containing some word within the given edit distance — the
-    [~term] query form. *)
+    [~term] query form.  Candidates come from sweeping the vocabulary
+    ({!Index.sweep_words}), unless a [?within] small enough that verifying
+    its members costs less than the sweep ({!Index.word_count} against
+    |within|, measured crossover) is itself the candidate set; then every
+    member is verified. *)
 
 val search_attr :
   ?probe:probe ->
@@ -158,8 +165,11 @@ val search_regex :
     query term).  When the pattern syntactically requires a literal word
     ({!Regex.required_word}) and the index is unstemmed, candidates are
     narrowed through the vocabulary first, as Glimpse extracts literals from
-    regular expressions; otherwise every live document is scanned.  Raises
-    {!Regex.Parse_error} on a malformed pattern. *)
+    regular expressions; otherwise every live document (or every member of
+    [?within]) is scanned.  A [?within] small enough that verifying its
+    members costs less than the vocabulary sweep is scanned directly, as
+    for {!search_approx}.  Raises {!Regex.Parse_error} on a malformed
+    pattern. *)
 
 val matching_lines :
   Index.t -> reader -> path:string -> query_words:string list -> (int * string) list

@@ -240,6 +240,10 @@ let cold_words t =
     t.segs;
   Hashtbl.fold (fun w () acc -> w :: acc) words []
 
+(* What a sweep of [cold_words] would walk, bounded from above without
+   building it: every segment's directory size. *)
+let cold_term_count t = List.fold_left (fun acc seg -> acc + Segs.term_count seg) 0 t.segs
+
 (* -- segment dump and compaction ------------------------------------------- *)
 
 (* Persist one postings dump as a new immutable segment and commit it to

@@ -319,6 +319,34 @@ let test_rename_crosses_labels () =
         [ "red"; "green"; "blue" ])
     [ "/a"; "/b"; "/" ]
 
+(* A lookup bounded by a small [within] probes each member in its own
+   label's partition.  A document renamed across labels without a re-post
+   keeps its postings under the old label: only the relabeled union finds
+   it.  An AND chain whose first conjunct holds just that document hands
+   it to the second as [within]. *)
+let test_rename_then_bounded_lookup () =
+  let idx, contents = mk_index (("/a/x/rare.txt", "red rare") :: base_docs) in
+  let content = Hashtbl.find contents "/a/x/rare.txt" in
+  Index.rename_path idx ~old_path:"/a/x/rare.txt" ~new_path:"/b/z/rare.txt";
+  Hashtbl.remove contents "/a/x/rare.txt";
+  Hashtbl.replace contents "/b/z/rare.txt" content;
+  let id = Option.get (Index.doc_of_path idx "/b/z/rare.txt") in
+  (* A posting after the last union of "red" invalidates it, so the
+     lookups below take the bounded path. *)
+  ignore (Index.candidate_docs idx "red");
+  Hashtbl.replace contents "/b/z/seven.txt" "red";
+  ignore (Index.add_document idx ~path:"/b/z/seven.txt" ~content:"red");
+  Alcotest.(check bool) "bounded lookup finds the renamed document" true
+    (Fileset.mem (Index.candidate_docs ~within:(Fileset.singleton id) idx "red") id);
+  let q = Hac_query.Parser.parse "rare AND red" in
+  let result =
+    Search.eval idx (reader contents)
+      ~attr:(fun ?probe:_ ?within:_ _ _ -> Fileset.empty)
+      ~dirref:(fun ?within:_ _ -> Fileset.empty)
+      q
+  in
+  Alcotest.(check (list int)) "AND chain keeps it" [ id ] (Fileset.elements result)
+
 let test_removed_docs_masked () =
   let idx, contents = mk_index base_docs in
   let id = Option.get (Index.doc_of_path idx "/b/z/four.txt") in
@@ -408,7 +436,8 @@ let test_block_and_cold_vouch_for_nothing () =
   let idx, _ = mk_index docs in
   Alcotest.(check int) "fresh doc-granular index vouches for all" 0
     (Fileset.cardinal (Index.unvouched idx (Index.universe idx)));
-  Index.set_cold idx ~lookup:(fun _ -> Fileset.empty) ~cost:(fun _ -> 0) ~words:(fun () -> []);
+  Index.set_cold idx ~lookup:(fun _ -> Fileset.empty) ~cost:(fun _ -> 0) ~words:(fun () -> [])
+    ~term_count:(fun () -> 0);
   Alcotest.(check int) "cold provider: every candidate unvouched" 2
     (Fileset.cardinal (Index.unvouched idx (Index.universe idx)))
 
@@ -559,6 +588,8 @@ let () =
         [
           Alcotest.test_case "under equals unscoped" `Quick test_under_equals_unscoped;
           Alcotest.test_case "rename crosses labels" `Quick test_rename_crosses_labels;
+          Alcotest.test_case "rename, then a bounded lookup" `Quick
+            test_rename_then_bounded_lookup;
           Alcotest.test_case "removals masked" `Quick test_removed_docs_masked;
           Alcotest.test_case "scoped cost bounded" `Quick test_scoped_cost_no_larger;
         ] );

@@ -145,7 +145,10 @@ let test_regex_tracks_changes () =
 (* -- differential property vs Str -------------------------------------------------- *)
 
 (* Generate small ASTs over a tiny alphabet, render them both in our syntax
-   and in Str's, and compare unanchored search verdicts on random texts. *)
+   and in Str's, and compare unanchored search verdicts on random texts.
+   Both cases of the letters appear, so the oracle also checks that the
+   case-insensitive prefilter never rejects a text the simulation would
+   match, and that the simulation itself stays case-sensitive. *)
 type dast =
   | DChar of char
   | DAny
@@ -173,17 +176,19 @@ let rec render_str = function
   | DPlus a -> "\\(" ^ render_str a ^ "\\)+"
   | DOpt a -> "\\(" ^ render_str a ^ "\\)?"
 
+let gen_letter = QCheck.Gen.oneofl [ 'a'; 'b'; 'c'; 'A'; 'B' ]
+
 let gen_dast =
   QCheck.Gen.(
     sized (fun n ->
         fix
           (fun self n ->
             if n <= 1 then
-              oneof [ map (fun c -> DChar c) (char_range 'a' 'c'); return DAny ]
+              oneof [ map (fun c -> DChar c) gen_letter; return DAny ]
             else
               frequency
                 [
-                  (3, map (fun c -> DChar c) (char_range 'a' 'c'));
+                  (3, map (fun c -> DChar c) gen_letter);
                   (2, map2 (fun a b -> DSeq (a, b)) (self (n / 2)) (self (n / 2)));
                   (2, map2 (fun a b -> DAlt (a, b)) (self (n / 2)) (self (n / 2)));
                   (1, map (fun a -> DStar a) (self (n / 2)));
@@ -196,26 +201,25 @@ let gen_text =
   QCheck.Gen.(
     map
       (fun cs -> String.concat "" (List.map (String.make 1) cs))
-      (list_size (int_range 0 12) (char_range 'a' 'd')))
+      (list_size (int_range 0 12) (oneofl [ 'a'; 'b'; 'c'; 'd'; 'A'; 'B'; 'C' ])))
+
+(* Str's unanchored verdict: the oracle. *)
+let str_matches dast text =
+  match Str.search_forward (Str.regexp (render_str dast)) text 0 with
+  | _ -> true
+  | exception Not_found ->
+      (* Str.search_forward misses empty matches at the very end for
+         some patterns; check an explicit anchored match everywhere. *)
+      List.exists
+        (fun i -> Str.string_match (Str.regexp (render_str dast)) text i)
+        (List.init (String.length text + 1) (fun i -> i))
 
 let prop_matches_str =
   QCheck.Test.make ~name:"matches agrees with Str on shared subset" ~count:1500
     (QCheck.make
        QCheck.Gen.(pair gen_dast gen_text)
        ~print:(fun (d, t) -> Printf.sprintf "/%s/ on %S" (render_ours d) t))
-    (fun (dast, text) ->
-      let ours = m (render_ours dast) text in
-      let theirs =
-        match Str.search_forward (Str.regexp (render_str dast)) text 0 with
-        | _ -> true
-        | exception Not_found ->
-            (* Str.search_forward misses empty matches at the very end for
-               some patterns; check an explicit anchored match everywhere. *)
-            List.exists
-              (fun i -> Str.string_match (Str.regexp (render_str dast)) text i)
-              (List.init (String.length text + 1) (fun i -> i))
-      in
-      ours = theirs)
+    (fun (dast, text) -> m (render_ours dast) text = str_matches dast text)
 
 let prop_find_consistent =
   QCheck.Test.make ~name:"find implies matches" ~count:500
@@ -227,6 +231,51 @@ let prop_find_consistent =
       match Regex.find re text with
       | Some (i, j) -> 0 <= i && i <= j && j <= String.length text && Regex.matches re text
       | None -> not (Regex.matches re text))
+
+(* Naive substring test, independent of the bit-parallel scan under test. *)
+let has_substring hay needle =
+  let n = String.length hay and m = String.length needle in
+  let rec at i = i + m <= n && (String.sub hay i m = needle || at (i + 1)) in
+  at 0
+
+(* The prefilter's soundness: a text the pattern matches, by the oracle,
+   holds the required word in some case. *)
+let prop_required_word_occurs =
+  QCheck.Test.make ~name:"a match holds required_word, ignoring case" ~count:1500
+    (QCheck.make
+       QCheck.Gen.(pair gen_dast gen_text)
+       ~print:(fun (d, t) -> Printf.sprintf "/%s/ on %S" (render_ours d) t))
+    (fun (dast, text) ->
+      let re = Regex.compile (render_ours dast) in
+      match Regex.required_word re with
+      | Some w when str_matches dast text -> has_substring (String.lowercase_ascii text) w
+      | Some _ | None -> true)
+
+(* Compilers of user-typed text are total: any byte string yields a value
+   or an error, never an exception. *)
+let total name f gen =
+  QCheck.Test.make ~name ~count:2000 (QCheck.make gen ~print:(Printf.sprintf "%S")) (fun s ->
+      match f s with Ok _ | Error _ -> true)
+
+let gen_bytes = QCheck.Gen.(string_size ~gen:char (int_range 0 40))
+
+(* Mostly metacharacters, so the fuzz reaches deep into both grammars. *)
+let gen_syntax =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (oneofl
+           [ '('; ')'; '['; ']'; '|'; '*'; '+'; '?'; '.'; '\\'; '^'; '$'; '-'; '/'; '~'; '"';
+             '{'; '}'; '#'; ':'; ' '; 'a'; 'N'; '1'; '\x00'; '\xff' ])
+      (int_range 0 30))
+
+let fuzz_props =
+  [
+    total "Regex.compile_result is total on bytes" Regex.compile_result gen_bytes;
+    total "Regex.compile_result is total on syntax" Regex.compile_result gen_syntax;
+    total "Parser.parse_result is total on bytes" Hac_query.Parser.parse_result gen_bytes;
+    total "Parser.parse_result is total on syntax" Hac_query.Parser.parse_result gen_syntax;
+  ]
 
 let () =
   Alcotest.run "regex"
@@ -251,5 +300,7 @@ let () =
           Alcotest.test_case "tracks changes" `Quick test_regex_tracks_changes;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_matches_str; prop_find_consistent ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_matches_str; prop_find_consistent; prop_required_word_occurs ] );
+      ("fuzz", List.map QCheck_alcotest.to_alcotest fuzz_props);
     ]

@@ -14,14 +14,31 @@ module Fault = Hac_fault.Fault
 
 let files = [| "/d0/a.txt"; "/d0/b.txt"; "/d1/c.txt"; "/d1/d.txt"; "/d2/e.txt" |]
 let words = [| "red"; "green"; "blue"; "cyan" |]
-let sem_dirs = [| "/s0"; "/s1"; "/s2" |]
+
+(* Semantic directories at the root, one under a plain subdirectory (a
+   delta outside /d0 cannot reach it, so the settle skips it) and one
+   nested under a semantic directory (whose scope is /s0's result, wherever
+   its documents live, so it is never skipped). *)
+let sem_dirs = [| "/s0"; "/s1"; "/s2"; "/d0/s3"; "/s0/n" |]
+
+let n_dirs = Array.length sem_dirs
 
 (* Dirref queries chain directories, so a delta settle must carry one
-   directory's new result into its dependents within the same pass. *)
+   directory's new result into its dependents within the same pass.  The
+   regex and approximate terms run bounded by the delta. *)
 let queries =
   [|
-    "red"; "green OR blue"; "blue AND NOT cyan"; "red OR cyan"; "{/s0} AND green"; "red OR {/s1}";
+    "red";
+    "green OR blue";
+    "blue AND NOT cyan";
+    "red OR cyan";
+    "{/s0} AND green";
+    "red OR {/s1}";
+    "/bl.e/";
+    "~gren";
   |]
+
+let n_queries = Array.length queries
 
 type op =
   | Write of int * int (* file slot, word slot *)
@@ -50,11 +67,11 @@ let gen_op =
         (6, map2 (fun f w -> Write (f, w)) (int_bound 4) (int_bound 3));
         (2, map (fun f -> Delete f) (int_bound 4));
         (2, map2 (fun a b -> Move (a, b)) (int_bound 4) (int_bound 4));
-        (2, map2 (fun d q -> Smkdir (d, q)) (int_bound 2) (int_bound 5));
-        (1, map2 (fun d q -> Schquery (d, q)) (int_bound 2) (int_bound 5));
-        (1, map2 (fun d r -> RemoveLink (d, r)) (int_bound 2) (int_bound 3));
-        (1, map2 (fun d f -> AddPerm (d, f)) (int_bound 2) (int_bound 4));
-        (1, map2 (fun d f -> Unprohibit (d, f)) (int_bound 2) (int_bound 4));
+        (2, map2 (fun d q -> Smkdir (d, q)) (int_bound (n_dirs - 1)) (int_bound (n_queries - 1)));
+        (1, map2 (fun d q -> Schquery (d, q)) (int_bound (n_dirs - 1)) (int_bound (n_queries - 1)));
+        (1, map2 (fun d r -> RemoveLink (d, r)) (int_bound (n_dirs - 1)) (int_bound 3));
+        (1, map2 (fun d f -> AddPerm (d, f)) (int_bound (n_dirs - 1)) (int_bound 4));
+        (1, map2 (fun d f -> Unprohibit (d, f)) (int_bound (n_dirs - 1)) (int_bound 4));
       ])
 
 let arb_ops =
@@ -284,7 +301,9 @@ let test_cache_hits_on_steady_state () =
 
 (* The per-pass caches live exactly one settle pass, so a content change
    between passes must be visible to the next one: nothing may serve the
-   previous pass's tokens or term results. *)
+   previous pass's tokens or term results.  Only a full pass consults the
+   term memo (a delta pass evaluates every term under [?within]), so full
+   passes run on both sides of the flip. *)
 let test_pass_caches_see_reindex () =
   let t = fresh () in
   Hac.write_file t "/d0/a.txt" "plain red text";
@@ -292,15 +311,54 @@ let test_pass_caches_see_reindex () =
   Hac.smkdir t "/s0" "red";
   Hac.smkdir t "/s1" "red";
   Hac.settle t;
+  Hac.sync_all t;
   Alcotest.(check (list string)) "a in s0" [ "a.txt" ] (link_names t "/s0");
   Alcotest.(check (list string)) "a in s1" [ "a.txt" ] (link_names t "/s1");
   (* Flip the contents: the next pass's doc cache must tokenize the new
      bytes, and its term memo must re-expand "red" from the fresh index. *)
   Hac.write_file t "/d0/a.txt" "plain blue text";
   Hac.write_file t "/d0/b.txt" "plain red text";
-  Hac.settle t;
+  ignore (Hac.reindex_full t ());
   Alcotest.(check (list string)) "b in s0" [ "b.txt" ] (link_names t "/s0");
   Alcotest.(check (list string)) "b in s1" [ "b.txt" ] (link_names t "/s1")
+
+(* -- a settle costs its delta ---------------------------------------------- *)
+
+let counter t name =
+  match Hac_obs.Metrics.find (Hac.metrics t) name with
+  | Some (Hac_obs.Metrics.Counter_value n) -> n
+  | _ -> Alcotest.failf "no counter %s" name
+
+(* Regex and approximate directories under a plain directory, over a
+   vocabulary large enough that verifying a two-document delta costs less
+   than sweeping it.  The delta settle must walk no vocabulary word and
+   verify exactly the delta documents inside the parent's scope, once per
+   directory; the document outside it is never read.  A delta member that
+   matches neither query must stay out: it is a candidate only because it
+   is in the delta, and no posting vouches for it. *)
+let test_delta_bounds_sweeps () =
+  let t = fresh () in
+  for i = 0 to 99 do
+    Hac.write_file t
+      (Printf.sprintf "/d0/f%02d.txt" i)
+      (String.concat " " (List.init 6 (fun j -> Printf.sprintf "w%dx%d" i j)))
+  done;
+  Hac.write_file t "/d0/old.txt" "blue and green";
+  Hac.smkdir t "/d0/re" "/bl.e/";
+  Hac.smkdir t "/d0/ap" "~gren";
+  Hac.settle t;
+  Alcotest.(check bool) "a full evaluation sweeps the vocabulary" true
+    (counter t "search.words_walked" > 0);
+  let walked = counter t "search.words_walked" and verified = counter t "search.docs_verified" in
+  Hac.write_file t "/d0/new.txt" "blue green";
+  Hac.write_file t "/d0/miss.txt" "pink black";
+  Hac.write_file t "/d1/out.txt" "blue green";
+  Hac.settle t;
+  Alcotest.(check int) "no vocabulary word walked" 0 (counter t "search.words_walked" - walked);
+  Alcotest.(check int) "in-scope delta verified once per directory" 4
+    (counter t "search.docs_verified" - verified);
+  Alcotest.(check (list string)) "regex" [ "new.txt"; "old.txt" ] (link_names t "/d0/re");
+  Alcotest.(check (list string)) "approx" [ "new.txt"; "old.txt" ] (link_names t "/d0/ap")
 
 let test_sibling_dirs_share_pass () =
   (* Many sibling directories with the same query within one pass: the memo
@@ -390,4 +448,6 @@ let () =
           Alcotest.test_case "reindex invalidates" `Quick test_pass_caches_see_reindex;
           Alcotest.test_case "siblings share a pass" `Quick test_sibling_dirs_share_pass;
         ] );
+      ( "bounded settle",
+        [ Alcotest.test_case "delta bounds regex and approx" `Quick test_delta_bounds_sweeps ] );
     ]
