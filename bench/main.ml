@@ -39,6 +39,7 @@ let rec_json_path = json_arg 2 "BENCH_recovery.json"
 let index_json_path = json_arg 3 "BENCH_index.json"
 let serve_json_path = json_arg 4 "BENCH_serve.json"
 let store_json_path = json_arg 5 "BENCH_store.json"
+let link_json_path = json_arg 6 "BENCH_link.json"
 
 let banner title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
@@ -700,9 +701,11 @@ let incremental_settle () =
   in
   touch ();
   let verified0 = counter "search.docs_verified" and trusted0 = counter "search.docs_trusted" in
+  let dirs0 = counter "sync.dirs_reevaluated" in
   ignore (Hac.reindex t ());
   let verified = counter "search.docs_verified" - verified0
-  and trusted = counter "search.docs_trusted" - trusted0 in
+  and trusted = counter "search.docs_trusted" - trusted0
+  and dirs_reevaluated = counter "sync.dirs_reevaluated" - dirs0 in
   let after_delta = snapshot () in
   ignore (Hac.reindex_full t ());
   let after_full = snapshot () in
@@ -724,6 +727,7 @@ let incremental_settle () =
     hits misses (hit_rate *. 100.);
   Printf.printf "  delta settle: %d documents verified, %d trusted on their postings\n" verified
     trusted;
+  Printf.printf "  delta settle: %d of %d directories re-evaluated\n" dirs_reevaluated n_dirs;
   shape "delta settle reaches the sync_all fixpoint" (after_delta = after_full);
   shape
     (Printf.sprintf "delta settle at least %s full"
@@ -743,6 +747,7 @@ let incremental_settle () =
   Printf.bprintf b "  \"noop_sync_all_s\": %.6f,\n" noop_s;
   Printf.bprintf b "  \"fixpoint_match\": %b,\n" (after_delta = after_full);
   Printf.bprintf b "  \"delta_docs\": { \"verified\": %d, \"trusted\": %d },\n" verified trusted;
+  Printf.bprintf b "  \"dirs_reevaluated_per_settle\": %d,\n" dirs_reevaluated;
   Printf.bprintf b
     "  \"cache\": { \"hits\": %d, \"misses\": %d, \"entries\": %d, \"hit_rate\": %.3f }\n"
     hits misses rc.Hac_core.Rescache.entries hit_rate;
@@ -1795,6 +1800,82 @@ let store_section () =
     && payload.[0] = '{'
     && payload.[String.length payload - 2] = '}')
 
+
+(* ------------------------------------------------------------------- *)
+(* Link surgery: naming and directory work per materialised link        *)
+(* ------------------------------------------------------------------- *)
+
+let link_section () =
+  banner "Link surgery: naming probes and directory resolutions per link";
+  Printf.printf
+    "  One semantic directory whose result holds files that share a few\n\
+    \  basenames, materialised and removed.  Naming tests candidates from\n\
+    \  each basename's memo; each batched directory operation resolves the\n\
+    \  directory once.  Writes %s.\n\n"
+    link_json_path;
+  let n_dirs, basenames = if smoke then (20, 3) else if quick then (100, 5) else (400, 5) in
+  let reps = if smoke then 3 else 7 in
+  let t = Hac.create ~stem:false () in
+  let fs = Hac.fs t in
+  for d = 0 to n_dirs - 1 do
+    Fs.mkdir_p fs (Printf.sprintf "/data/d%03d" d);
+    for k = 0 to basenames - 1 do
+      Fs.write_file fs (Printf.sprintf "/data/d%03d/f%d.txt" d k) "lorem linkword ipsum"
+    done
+  done;
+  ignore (Hac.reindex_full t ());
+  let counter name =
+    match Metrics.find (Hac.metrics t) name with Some (Metrics.Counter_value n) -> n | _ -> 0
+  in
+  (* Counts of one materialisation, then timings over repeats. *)
+  Hac.smkdir t "/s" "linkword";
+  let created0 = counter "link.created" and probes0 = counter "link.name_probes" in
+  let resolves0 = Fs.resolve_count fs in
+  let links = List.length (Hac.links t "/s") in
+  let resolves = Fs.resolve_count fs - resolves0 in
+  let created = counter "link.created" - created0
+  and probes = counter "link.name_probes" - probes0 in
+  Hac.srmdir t "/s";
+  let probes_per_link = float_of_int probes /. float_of_int (max 1 created) in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  let samples =
+    List.init reps (fun _ ->
+        Hac.smkdir t "/s" "linkword";
+        let mat = Timer.time_only (fun () -> ignore (Hac.links t "/s")) in
+        let rm = Timer.time_only (fun () -> Hac.srmdir t "/s") in
+        (mat, rm))
+  in
+  let mat_s = median (List.map fst samples) and rm_s = median (List.map snd samples) in
+  Printf.printf "  %d links over %d basenames\n\n" links basenames;
+  Printf.printf "  %-34s %12.2f\n" "name probes per link" probes_per_link;
+  Printf.printf "  %-34s %12d\n" "path resolutions per materialise" resolves;
+  Printf.printf "  %-34s %12.3f\n" "materialise (ms)" (mat_s *. 1000.);
+  Printf.printf "  %-34s %12.3f\n" "srmdir (ms)" (rm_s *. 1000.);
+  shape "every file linked" (links = n_dirs * basenames && created = links);
+  shape "naming tests at most two candidates per link" (probes_per_link <= 2.0);
+  shape "one resolution per batched directory operation" (resolves <= 2);
+  let b = Buffer.create 256 in
+  Printf.bprintf b "{\n";
+  Printf.bprintf b
+    "  \"config\": { \"dirs\": %d, \"basenames\": %d, \"reps\": %d, \"mode\": \"%s\" },\n"
+    n_dirs basenames reps
+    (if smoke then "smoke" else if quick then "quick" else "full");
+  Printf.bprintf b "  \"links\": %d,\n" links;
+  Printf.bprintf b "  \"name_probes_per_link\": %.3f,\n" probes_per_link;
+  Printf.bprintf b "  \"dir_resolves_per_materialize\": %d,\n" resolves;
+  Printf.bprintf b "  \"materialize_s\": %.6f,\n" mat_s;
+  Printf.bprintf b "  \"srmdir_s\": %.6f\n" rm_s;
+  Printf.bprintf b "}\n";
+  let payload = Buffer.contents b in
+  let oc = open_out link_json_path in
+  output_string oc payload;
+  close_out oc;
+  shape
+    (Printf.sprintf "trajectory written to %s" link_json_path)
+    (String.length payload > 2
+    && payload.[0] = '{'
+    && payload.[String.length payload - 2] = '}')
+
 let () =
   if json_only then begin
     (* Machine-readable mode: only the sections that write (and self-check)
@@ -1805,6 +1886,7 @@ let () =
     index_section ();
     serve_section ();
     store_section ();
+    link_section ();
     Printf.printf "\ndone.\n"
   end
   else begin
@@ -1826,6 +1908,7 @@ let () =
     index_section ();
     serve_section ();
     store_section ();
+    link_section ();
     micro_benchmarks ();
     Printf.printf "\ndone.\n"
   end

@@ -274,13 +274,14 @@ let setup (ctx : Ctx.t) =
 let create ?block_size ?stem ?transducer ?auto_sync ?reindex_every () =
   setup (Ctx.create ?block_size ?stem ?transducer ?auto_sync ?reindex_every (Fs.create ()))
 
-let of_fs ?block_size ?stem ?transducer ?auto_sync ?reindex_every fs =
+let of_fs ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?chain fs =
   let ctx = Ctx.create ?block_size ?stem ?transducer ?auto_sync ?reindex_every fs in
   (* Allocate this life's uids strictly above everything the on-disk
      metadata mentions, so nothing we register can alias a previous life's
      identifiers (stale structure files must stay unreadable, and a crash
      during recovery must never mix two incarnations' records). *)
-  Uidmap.reserve ctx.uids (Journal.max_uid fs (Journal.read_chain fs));
+  let chain = match chain with Some c -> c | None -> Journal.read_chain fs in
+  Uidmap.reserve ctx.uids (Journal.max_uid fs chain);
   (* Adopt existing content: register directories, index files.  The
      metadata area is HAC's own and stays out of the index. *)
   Fs.walk fs Vpath.root (fun path st ->
@@ -309,9 +310,9 @@ type adopted = {
   delta : Sync.delta;
 }
 
-let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget fs :
+let fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget ?chain fs :
     (adopted, string) result =
-  let chain = Journal.read_chain fs in
+  let chain = match chain with Some c -> c | None -> Journal.read_chain fs in
   match chain.Journal.checkpoint with
   | None -> Error "no readable checkpoint"
   | Some (epoch, _) -> (
@@ -630,11 +631,7 @@ let srmdir (ctx : Ctx.t) path =
   let path = Vpath.normalize path in
   let sd = semdir_or_fail ctx path in
   Ctx.with_maintenance ctx (fun () ->
-      List.iter
-        (fun l ->
-          let lpath = Vpath.join path l.Link.name in
-          if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath)
-        (Semdir.all_links sd));
+      Sync.remove_links ctx path (List.map (fun l -> l.Link.name) (Semdir.all_links sd)));
   Fs.rmdir ctx.fs path (* the Removed(Dir) event clears uid/semdir/deps *)
 
 let schquery (ctx : Ctx.t) path query_string =
@@ -736,7 +733,7 @@ let add_permanent (ctx : Ctx.t) ~dir ~target =
       l.Link.name
   | None ->
       let taken name = Fs.lexists ctx.fs (Vpath.join dir name) in
-      let name = Semdir.fresh_link_name sd ~taken target in
+      let name, _ = Semdir.fresh_link_name sd ~taken target in
       (* Create the physical symlink outside maintenance mode so the
          ordinary interception records it permanent and lifts any
          prohibition. *)
@@ -789,30 +786,29 @@ let restore_semdir (ctx : Ctx.t) path ~query ~permanent ~prohibited =
     | None -> Semdir.create ~uid q
   in
   List.iter (Semdir.prohibit sd) prohibited;
-  let adopted = ref 0 in
+  let is_permanent =
+    let names = Hashtbl.create 8 in
+    List.iter (fun n -> Hashtbl.replace names n ()) permanent;
+    Hashtbl.mem names
+  in
+  let links = Sync.list_links ctx path in
+  let local = ref [] and remote = ref [] in
   List.iter
-    (fun name ->
-      let lp = Vpath.join path name in
-      if Fs.is_symlink ctx.fs lp then begin
-        incr adopted;
-        let target = Link.target_of_symlink (Fs.readlink ctx.fs lp) in
-        let cls = if List.mem name permanent then Link.Permanent else Link.Transient in
-        Semdir.add_link sd { Link.name; target; cls };
-        if cls = Link.Transient then begin
-          match target with
-          | Link.Local p -> (
-              match Index.doc_of_path ctx.index p with
-              | Some id ->
-                  Semdir.set_transient_local sd (Fileset.add sd.Semdir.transient_local id)
-              | None -> ())
-          | Link.Remote { ns_id; uri } ->
-              Semdir.set_transient_remote sd
-                (sd.Semdir.transient_remote
-                @ [ { Semdir.rr_ns = ns_id; rr_uri = uri; rr_name = name; rr_stale = false } ])
-        end
-      end)
-    (Fs.readdir ctx.fs path);
-  Semdir.set_materialized sd (!adopted > 0);
+    (fun (name, raw) ->
+      let target = Link.target_of_symlink raw in
+      let cls = if is_permanent name then Link.Permanent else Link.Transient in
+      Semdir.add_link sd { Link.name; target; cls };
+      if cls = Link.Transient then
+        match target with
+        | Link.Local p ->
+            Option.iter (fun id -> local := id :: !local) (Index.doc_of_path ctx.index p)
+        | Link.Remote { ns_id; uri } ->
+            remote :=
+              { Semdir.rr_ns = ns_id; rr_uri = uri; rr_name = name; rr_stale = false } :: !remote)
+    links;
+  Semdir.set_transient_local sd (Fileset.union sd.Semdir.transient_local (Fileset.of_list !local));
+  Semdir.set_transient_remote sd (sd.Semdir.transient_remote @ List.rev !remote);
+  Semdir.set_materialized sd (links <> []);
   Hashtbl.replace ctx.semdirs uid sd;
   match Sync.recompute_deps ctx sd with
   | Ok () -> ()

@@ -41,10 +41,14 @@ val of_fs :
   ?transducer:Hac_index.Transducer.t ->
   ?auto_sync:bool ->
   ?reindex_every:int ->
+  ?chain:Journal.chain ->
   Hac_vfs.Fs.t ->
   t
 (** Adopt an existing file system: registers every directory in the global
-    uid map and indexes every regular file. *)
+    uid map and indexes every regular file.  [chain] is the tree's journal
+    chain when the caller has already read it ({!Journal.read_chain}); the
+    new uids are allocated above every uid it and the structure files
+    mention. *)
 
 type adopted = {
   hac : t;  (** The instance, storage tier attached. *)
@@ -64,6 +68,7 @@ val fast_adopt :
   ?auto_sync:bool ->
   ?reindex_every:int ->
   ?budget:int ->
+  ?chain:Journal.chain ->
   Hac_vfs.Fs.t ->
   (adopted, string) result
 (** O(delta) adoption of a tree a previous store-enabled life checkpointed:
@@ -80,7 +85,9 @@ val fast_adopt :
     there is no readable checkpoint, the tail carries damaged or
     namespace-surgery records, or the document table or store manifest is
     missing, damaged, or from another epoch/lineage.  [budget] bounds the
-    block cache as in {!enable_store}. *)
+    block cache as in {!enable_store}.  [chain] is the tree's journal chain
+    when the caller has read it; a refusal leaves the tree as it was, so
+    the caller can hand the same chain to the full replay. *)
 
 val adopt_results : t -> Sync.delta -> unit
 (** Finish a fast mount whose semantic directories are restored: adopt the

@@ -52,6 +52,9 @@ type t = {
   doc_cache_uncached : Metrics.counter;
   generation : Metrics.gauge;
   pass_dirs : Metrics.histogram;
+  link_created : Metrics.counter;
+  link_removed : Metrics.counter;
+  link_name_probes : Metrics.counter;
 }
 
 let create ~now () =
@@ -118,6 +121,9 @@ let create ~now () =
     doc_cache_uncached = Metrics.counter m "pass.doc_cache.uncached";
     generation = Metrics.gauge m "scope.generation";
     pass_dirs = Metrics.histogram m "sync.pass.dirs";
+    link_created = Metrics.counter m "link.created";
+    link_removed = Metrics.counter m "link.removed";
+    link_name_probes = Metrics.counter m "link.name_probes";
   }
 
 (* Fold a finished search probe into the registry. *)

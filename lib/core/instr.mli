@@ -86,6 +86,12 @@ type t = {
       (** Doc-cache lookups served uncached (past the byte budget). *)
   generation : Hac_obs.Metrics.gauge;
   pass_dirs : Hac_obs.Metrics.histogram;
+  link_created : Hac_obs.Metrics.counter;
+      (** Transient links HAC's link surgery created. *)
+  link_removed : Hac_obs.Metrics.counter;
+      (** Links HAC's link surgery removed (re-evaluation and [srmdir]). *)
+  link_name_probes : Hac_obs.Metrics.counter;
+      (** Candidate names tested while naming new transient links. *)
 }
 
 val create : now:(unit -> float) -> unit -> t

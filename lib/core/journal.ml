@@ -231,7 +231,12 @@ type chain = {
   skipped_segments : int;
 }
 
+let reads = ref 0
+
+let chain_reads () = !reads
+
 let read_chain fs =
+  incr reads;
   let segs, ckpts = scan fs in
   let checkpoint, invalid =
     List.fold_left

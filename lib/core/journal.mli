@@ -132,6 +132,10 @@ val read_chain : Hac_vfs.Fs.t -> chain
 (** Resolve the on-disk chain: pick the base checkpoint and collect the
     segment texts recovery must replay. *)
 
+val chain_reads : unit -> int
+(** How many times this process has run {!read_chain} — each loads every
+    checkpoint image on disk.  A work count: tests take differences. *)
+
 val replay_chain : chain -> replay
 (** Replay the checkpoint's consolidated log, then every newer segment. *)
 

@@ -21,8 +21,8 @@ let read_opt fs path =
   | data -> Hac_store.Seal.unseal_file data
   | exception Hac_vfs.Errno.Error _ -> None
 
-let chain_replay t =
-  let chain = Journal.read_chain (Hac.fs t) in
+let chain_replay ?chain t =
+  let chain = match chain with Some c -> c | None -> Journal.read_chain (Hac.fs t) in
   (chain, Journal.replay_chain chain)
 
 let report_of_replay (r : Journal.replay) =
@@ -153,9 +153,9 @@ let restore_entries t (chain : Journal.chain) entries =
   Hac_obs.Metrics.incr ~by:!skipped (Hac.instr t).Instr.recover_dirs_skipped;
   (!restored, !skipped)
 
-let reload_report t =
+let reload_report ?chain t =
   Hac_obs.Trace.with_span (Hac.tracer t) ~name:"recover.reload" (fun () ->
-  let chain, r = chain_replay t in
+  let chain, r = chain_replay ?chain t in
   record_replay_metrics t chain r;
   (* Once per recovery, whatever mix of probes, replays and checkpoint-copy
      fallbacks it took to get here: each damaged record is one skip. *)
@@ -216,8 +216,11 @@ let mount ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget fs =
     | None -> ());
     (t, mode)
   in
+  (* One read of the chain serves the fast path and, when that refuses,
+     the full replay. *)
+  let chain = Journal.read_chain fs in
   match
-    Hac.fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget fs
+    Hac.fast_adopt ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget ~chain fs
   with
   | Ok { Hac.hac = t; chain; replay; delta } ->
       record_replay_metrics t chain replay;
@@ -230,7 +233,7 @@ let mount ?block_size ?stem ?transducer ?auto_sync ?reindex_every ?budget fs =
       Hac.adopt_results t delta;
       finish t `Fast
   | Error _reason ->
-      let t = Hac.of_fs ?block_size ?stem ?transducer ?auto_sync ?reindex_every fs in
-      let (_ : reload_report) = reload_report t in
+      let t = Hac.of_fs ?block_size ?stem ?transducer ?auto_sync ?reindex_every ~chain fs in
+      let (_ : reload_report) = reload_report ~chain t in
       Hac.enable_store ?budget t;
       finish t `Full

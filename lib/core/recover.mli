@@ -45,9 +45,11 @@ type reload_report = {
           readable. *)
 }
 
-val reload_report : Hac.t -> reload_report
+val reload_report : ?chain:Journal.chain -> Hac.t -> reload_report
 (** Like {!reload} but returns the full accounting — what the shell's
-    [srecover -v] prints. *)
+    [srecover -v] prints.  [chain] is the tree's journal chain when the
+    caller has read it since the tree last changed (as {!mount} does);
+    otherwise it is read here. *)
 
 val journal_report : Hac.t -> journal_report
 (** Verify the directory journal chain (checkpoint base plus every newer

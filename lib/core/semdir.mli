@@ -25,6 +25,13 @@ type t = private {
   links : (string, Link.t) Hashtbl.t;
       (** {e Physically present} links, by link name: permanent ones, and
           transient ones once materialised. *)
+  by_target : (string, string) Hashtbl.t;
+      (** The names in [links], by target key: one binding per alias. *)
+  next_suffix : (string, int ref) Hashtbl.t;
+      (** Naming memo: for a basename [b], every [b~i] with
+          [2 <= i < !(next_suffix b)] (2 when absent) is in [links]. *)
+  mutable listing : Link.t list option;
+      (** [links] sorted by name, kept until a link is added or removed. *)
   mutable transient_local : Hac_bitset.Fileset.t;
       (** The current local query result — the paper's per-directory result
           bitmap (N/8 bytes when dense). *)
@@ -78,7 +85,15 @@ val find_link : t -> string -> Link.t option
 (** Present link by name. *)
 
 val link_by_target : t -> Link.target -> Link.t option
-(** Present link by target key, if any. *)
+(** Present link by target key, if any; among aliases, the one with the
+    smallest name.  One index lookup. *)
+
+val links_to : t -> string -> Link.t list
+(** Every present link whose target key is the given one. *)
+
+val has_permanent : t -> string -> bool
+(** Whether a permanent link points at the target key.  One index
+    lookup. *)
 
 val add_link : t -> Link.t -> unit
 (** Record a present link (replaces any record under the same name); moves
@@ -86,13 +101,14 @@ val add_link : t -> Link.t -> unit
 
 val remove_link : t -> string -> Link.t option
 (** Forget a present link by name; returns what was removed.  Moves the
-    stamp when a link was removed. *)
+    stamp when a link was removed, and lowers the naming memo when the
+    name was a collision name below it. *)
 
 val links_of_cls : t -> Link.cls -> Link.t list
 (** Present links of one class, sorted by name. *)
 
 val all_links : t -> Link.t list
-(** Every present link, sorted by name. *)
+(** Every present link, sorted by name (sorted once per change). *)
 
 val prohibit : t -> string -> unit
 (** Add a target key to the prohibited set. *)
@@ -107,10 +123,17 @@ val is_prohibited : t -> string -> bool
 val prohibited_keys : t -> string list
 (** Sorted prohibited target keys. *)
 
-val fresh_link_name : t -> taken:(string -> bool) -> Link.target -> string
-(** A link name for the target that collides neither with present links nor
-    with [taken] (the physical directory entries): the display name, or
-    [name~2], [name~3], ... *)
+val fresh_link_name : t -> taken:(string -> bool) -> Link.target -> string * int
+(** A link name for the target, and how many candidate names it tested.
+    The name is the display name when that is neither a present link nor
+    [taken] (the physical directory entries), else the smallest [name~i]
+    (i >= 2) that is neither.  The search starts at the naming memo, so
+    the k-th link sharing a display name costs O(1) amortised, not k
+    probes; only physical entries that are not links cost a probe each. *)
+
+val add_fresh_link : t -> taken:(string -> bool) -> Link.target -> Link.cls -> string * int
+(** Name a new link to the target as {!fresh_link_name} does and record it
+    as {!add_link} would; returns the name and the candidates tested. *)
 
 val approx_bytes : t -> int
 (** Estimated memory footprint of this record, for space accounting. *)

@@ -459,55 +459,104 @@ let recompute_deps (ctx : Ctx.t) (sd : Semdir.t) =
   let parent = Option.to_list (parent_uid ctx sd.Semdir.uid) in
   Depgraph.set_deps ctx.deps sd.Semdir.uid (parent @ Ast.dir_uids sd.Semdir.query)
 
-(* Expand the stored transient result into physical symbolic links.  Called
-   lazily on first access through HAC, and by [resync_dir] to keep an
-   already-materialised directory consistent. *)
-let create_transient_link (ctx : Ctx.t) (sd : Semdir.t) ~path ~target ~name_hint =
-  let taken name = Fs.lexists ctx.fs (Vpath.join path name) in
-  let name =
-    match name_hint with
-    | Some n when Vpath.valid_name n && not (taken n) -> n
-    | Some _ | None -> Semdir.fresh_link_name sd ~taken target
-  in
-  Fs.symlink ctx.fs ~target:(Link.symlink_value target) ~link:(Vpath.join path name);
-  Semdir.add_link sd { Link.name; target; cls = Link.Transient }
+(* -- link surgery -------------------------------------------------------------
 
+   A directory's transient links are made and removed as one directory
+   operation each, under one span: the new links are named first — by
+   Semdir's memo, against the directory's entry table — and recorded, then
+   created by one {!Fs.add_symlinks}; the old ones go in one
+   {!Fs.remove_symlinks}. *)
+
+let span (ctx : Ctx.t) name f = Hac_obs.Trace.with_span ctx.instr.Instr.tracer ~name f
+
+(* Name and create transient links to [items], [(target, name_hint)] in
+   creation order.  Each is recorded in the directory as it is named, so
+   later names see it.  A hint is taken when it is a valid name free in the
+   entry table — as it was when each link was made on its own, so among the
+   batch's names too ([staged]). *)
+let add_links (ctx : Ctx.t) (sd : Semdir.t) path items =
+  if items <> [] then
+    span ctx "link.add" (fun () ->
+        let on_disk = Fs.entry_test ctx.fs path in
+        let hints = List.exists (fun (_, hint) -> hint <> None) items in
+        let staged = Hashtbl.create (if hints then 16 else 1) in
+        let probes = ref 0 in
+        let hinted = function
+          | Some n when Vpath.valid_name n ->
+              incr probes;
+              if on_disk n || Hashtbl.mem staged n then None else Some n
+          | Some _ | None -> None
+        in
+        let name_of (target, name_hint) =
+          let name =
+            match hinted name_hint with
+            | Some name ->
+                Semdir.add_link sd { Link.name; target; cls = Link.Transient };
+                name
+            | None ->
+                let name, p = Semdir.add_fresh_link sd ~taken:on_disk target Link.Transient in
+                probes := !probes + p;
+                name
+          in
+          if hints then Hashtbl.replace staged name ();
+          (name, Link.symlink_value target)
+        in
+        let links = List.map name_of items in
+        Fs.add_symlinks ctx.fs path links;
+        let i = ctx.instr in
+        Hac_obs.Metrics.incr ~by:(List.length links) i.Instr.link_created;
+        Hac_obs.Metrics.incr ~by:!probes i.Instr.link_name_probes)
+
+let remove_links (ctx : Ctx.t) path names =
+  if names <> [] then
+    span ctx "link.remove" (fun () ->
+        Hac_obs.Metrics.incr
+          ~by:(Fs.remove_symlinks ctx.fs path names)
+          ctx.instr.Instr.link_removed)
+
+let list_links (ctx : Ctx.t) path = span ctx "link.list" (fun () -> Fs.symlinks ctx.fs path)
+
+(* Forget the transient links named [names] and remove them, in name
+   order, as one operation. *)
+let drop_transient (ctx : Ctx.t) (sd : Semdir.t) path names =
+  let names = List.sort compare names in
+  List.iter (fun name -> ignore (Semdir.remove_link sd name)) names;
+  remove_links ctx path names
+
+(* Expand the stored transient result into physical symbolic links.  Called
+   lazily on first access through HAC. *)
 let materialize (ctx : Ctx.t) (sd : Semdir.t) =
   if not sd.Semdir.materialized then begin
     match Uidmap.path_of_uid ctx.uids sd.Semdir.uid with
     | None -> ()
     | Some path ->
-        Ctx.with_maintenance ctx (fun () ->
-            Fileset.iter
-              (fun id ->
-                match Index.doc_path ctx.index id with
-                | Some p ->
-                    create_transient_link ctx sd ~path ~target:(Link.Local p) ~name_hint:None
-                | None -> ())
-              sd.Semdir.transient_local;
-            List.iter
-              (fun r ->
-                create_transient_link ctx sd ~path
-                  ~target:(Link.Remote { ns_id = r.Semdir.rr_ns; uri = r.Semdir.rr_uri })
-                  ~name_hint:(Some r.Semdir.rr_name))
-              sd.Semdir.transient_remote);
+        let local =
+          Fileset.fold
+            (fun id acc ->
+              match Index.doc_path ctx.index id with
+              | Some p -> (Link.Local p, None) :: acc
+              | None -> acc)
+            sd.Semdir.transient_local []
+        in
+        let remote =
+          List.map
+            (fun r ->
+              ( Link.Remote { ns_id = r.Semdir.rr_ns; uri = r.Semdir.rr_uri },
+                Some r.Semdir.rr_name ))
+            sd.Semdir.transient_remote
+        in
+        Ctx.with_maintenance ctx (fun () -> add_links ctx sd path (List.rev_append local remote));
         Semdir.set_materialized sd true
   end
 
 let exclusion_filter (ctx : Ctx.t) (sd : Semdir.t) ~path set =
-  let prohibited key = Semdir.is_prohibited sd key in
-  let permanent_key key =
-    List.exists
-      (fun l -> Link.target_key l.Link.target = key)
-      (Semdir.links_of_cls sd Link.Permanent)
-  in
   Fileset.filter
     (fun id ->
       match Index.doc_path ctx.index id with
       | Some p ->
           (not (Vpath.is_prefix ~prefix:path p))
-          && (not (prohibited p))
-          && not (permanent_key p)
+          && (not (Semdir.is_prohibited sd p))
+          && not (Semdir.has_permanent sd p)
       | None -> false)
     set
 
@@ -540,12 +589,6 @@ let resync_dir_in pass (ctx : Ctx.t) uid =
         match parent_uid ctx uid with
         | Some p -> scope_in pass ctx p
         | None -> { local = Fileset.empty; remote = []; mount_uids = [] }
-      in
-      let prohibited key = Semdir.is_prohibited sd key in
-      let permanent_key key =
-        List.exists
-          (fun l -> Link.target_key l.Link.target = key)
-          (Semdir.links_of_cls sd Link.Permanent)
       in
       (* 1–2. The local result: evaluate the query over the parent's scope,
             then drop files physically inside this directory (already "in"
@@ -588,8 +631,8 @@ let resync_dir_in pass (ctx : Ctx.t) uid =
           let consider_remote ~stale ~ns_id ~uri ~name =
             if
               (not (Hashtbl.mem seen_remote uri))
-              && (not (prohibited uri))
-              && not (permanent_key uri)
+              && (not (Semdir.is_prohibited sd uri))
+              && not (Semdir.has_permanent sd uri)
             then begin
               Hashtbl.replace seen_remote uri ();
               if stale then ctx.stale_serves <- ctx.stale_serves + 1;
@@ -655,21 +698,21 @@ let resync_dir_in pass (ctx : Ctx.t) uid =
             Hashtbl.replace desired r.Semdir.rr_uri
               (Link.Remote { ns_id = r.Semdir.rr_ns; uri = r.Semdir.rr_uri }, Some r.Semdir.rr_name))
           new_remote;
+        let stale =
+          List.filter_map
+            (fun l ->
+              let key = Link.target_key l.Link.target in
+              if Hashtbl.mem desired key then begin
+                Hashtbl.remove desired key;
+                None
+              end
+              else Some l.Link.name)
+            (Semdir.links_of_cls sd Link.Transient)
+        in
+        let fresh = Hashtbl.fold (fun _ item acc -> item :: acc) desired [] in
         Ctx.with_maintenance ctx (fun () ->
-            List.iter
-              (fun l ->
-                let key = Link.target_key l.Link.target in
-                if Hashtbl.mem desired key then Hashtbl.remove desired key
-                else begin
-                  ignore (Semdir.remove_link sd l.Link.name);
-                  let lpath = Vpath.join path l.Link.name in
-                  if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
-                end)
-              (Semdir.links_of_cls sd Link.Transient);
-            Hashtbl.iter
-              (fun _key (target, name_hint) ->
-                create_transient_link ctx sd ~path ~target ~name_hint)
-              desired)
+            drop_transient ctx sd path stale;
+            add_links ctx sd path (List.rev fresh))
       end;
       if changed then begin
         (* Any later directory in this pass evaluating against stale state
@@ -809,9 +852,13 @@ let sync_unsynced (ctx : Ctx.t) =
 
 (* -- data consistency (section 2.4) --------------------------------------- *)
 
-type delta = { touched : Fileset.t; removed : Fileset.t }
+type delta = {
+  touched : Fileset.t;
+  removed : Fileset.t;
+  removed_paths : (int * string) list;
+}
 
-let empty_delta = { touched = Fileset.empty; removed = Fileset.empty }
+let empty_delta = { touched = Fileset.empty; removed = Fileset.empty; removed_paths = [] }
 
 let reindex_with_delta (ctx : Ctx.t) ?under () =
   let i = ctx.instr in
@@ -840,10 +887,12 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
   let span name f = Hac_obs.Trace.with_span i.Instr.tracer ~name f in
   let touched = ref Fileset.empty in
   let removed = ref Fileset.empty in
+  let removed_paths = ref [] in
   let forget path =
     (match Index.doc_of_path ctx.index path with
     | Some id ->
         removed := Fileset.add !removed id;
+        removed_paths := (id, path) :: !removed_paths;
         Option.iter (fun s -> Hac_store.Store.forget_doc s id) ctx.store
     | None -> ());
     Index.remove_path ctx.index path
@@ -894,7 +943,7 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
   if paths <> [] then Ctx.bump_generation ctx;
   Hac_obs.Metrics.incr ~by:(List.length paths) i.Instr.reindex_files;
   Hac_obs.Trace.set_attr_int i.Instr.tracer "files" (List.length paths);
-  (List.length paths, { touched = !touched; removed = !removed }))
+  (List.length paths, { touched = !touched; removed = !removed; removed_paths = !removed_paths }))
 
 let reindex (ctx : Ctx.t) ?under () = fst (reindex_with_delta ctx ?under ())
 
@@ -926,6 +975,7 @@ type reach = {
   touched_docs : Fileset.t;
   delta_docs : Fileset.t;  (* touched or removed *)
   touched_dirs : (string, unit) Hashtbl.t;
+  removed_path : (int, string) Hashtbl.t;
 }
 
 let reach_of (ctx : Ctx.t) (delta : delta) =
@@ -939,10 +989,13 @@ let reach_of (ctx : Ctx.t) (delta : delta) =
   Fileset.iter
     (fun id -> Option.iter (fun p -> enroll (Vpath.dirname p)) (Index.doc_path ctx.index id))
     delta.touched;
+  let removed_path = Hashtbl.create 8 in
+  List.iter (fun (id, p) -> Hashtbl.replace removed_path id p) delta.removed_paths;
   {
     touched_docs = delta.touched;
     delta_docs = Fileset.union delta.touched delta.removed;
     touched_dirs;
+    removed_path;
   }
 
 (* A directory under a plain parent other than the root needs no visit
@@ -993,37 +1046,41 @@ let resync_dir_delta pass (ctx : Ctx.t) reach uid =
         if changed then Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
         if changed then begin
           Semdir.set_transient_local sd new_local;
-          if sd.Semdir.materialized then
+          if sd.Semdir.materialized then begin
+            (* Only delta documents gain or lose a link here.  A dropped
+               document's links are found by its path through the
+               directory's by-target index; a removed document no longer
+               maps back to a path, so the delta carries it. *)
+            let path_of id =
+              match Index.doc_path ctx.index id with
+              | Some p -> Some p
+              | None -> Hashtbl.find_opt reach.removed_path id
+            in
+            let stale =
+              Fileset.fold
+                (fun id acc ->
+                  match path_of id with
+                  | Some p ->
+                      List.fold_left
+                        (fun acc l ->
+                          if l.Link.cls = Link.Transient then l.Link.name :: acc else acc)
+                        acc (Semdir.links_to sd p)
+                  | None -> acc)
+                (Fileset.diff old_local new_local) []
+            in
             Ctx.with_maintenance ctx (fun () ->
-                (* Drop transient links whose target left the result or the
-                   index; only delta documents can be affected, but removed
-                   documents no longer map back to an id, so walk the links
-                   and keep exactly those still in the result. *)
-                List.iter
-                  (fun l ->
-                    match l.Link.target with
-                    | Link.Local p ->
-                        let keep =
-                          match Index.doc_of_path ctx.index p with
-                          | Some id -> Fileset.mem new_local id
-                          | None -> false
-                        in
-                        if not keep then begin
-                          ignore (Semdir.remove_link sd l.Link.name);
-                          let lpath = Vpath.join path l.Link.name in
-                          if Fs.is_symlink ctx.fs lpath then Fs.unlink ctx.fs lpath
-                        end
-                    | Link.Remote _ -> ())
-                  (Semdir.links_of_cls sd Link.Transient);
-                Fileset.iter
-                  (fun id ->
-                    match Index.doc_path ctx.index id with
-                    | Some p ->
-                        if Semdir.link_by_target sd (Link.Local p) = None then
-                          create_transient_link ctx sd ~path ~target:(Link.Local p)
-                            ~name_hint:None
-                    | None -> ())
-                  adds);
+                drop_transient ctx sd path stale;
+                let fresh =
+                  Fileset.fold
+                    (fun id acc ->
+                      match Index.doc_path ctx.index id with
+                      | Some p when Semdir.link_by_target sd (Link.Local p) = None ->
+                          (Link.Local p, None) :: acc
+                      | Some _ | None -> acc)
+                    adds []
+                in
+                add_links ctx sd path (List.rev fresh))
+          end;
           Ctx.bump_generation ctx;
           Hashtbl.remove pass.scopes uid
         end;

@@ -89,6 +89,17 @@ val fetch_remote :
     [on_failure ns_id reason] (default: ignored) and treated as having no
     content; the exception never escapes. *)
 
+val remove_links : Ctx.t -> string -> string list -> unit
+(** [remove_links ctx dir names]: HAC's link surgery removing the named
+    symbolic links of [dir] as one directory operation ({!Fs.remove_symlinks},
+    under a [link.remove] span; counts [link.removed]).  Bookkeeping in the
+    directory's {!Semdir.t} is the caller's. *)
+
+val list_links : Ctx.t -> string -> (string * string) list
+(** The symbolic links of a directory as [(name, target)] pairs, sorted by
+    name, in one directory operation ({!Fs.symlinks}, under a [link.list]
+    span). *)
+
 val materialize : Ctx.t -> Semdir.t -> unit
 (** Expand a directory's stored transient result (the bitmap) into physical
     symbolic links.  Idempotent; happens lazily on first access through HAC.
@@ -115,6 +126,9 @@ type delta = {
       (** Documents added or whose content was reindexed. *)
   removed : Hac_bitset.Fileset.t;
       (** Documents dropped from the index (deleted or unreadable). *)
+  removed_paths : (int * string) list;
+      (** [(id, path)] of every removed document: the index no longer maps
+          it back, and {!sync_delta} finds its links by path. *)
 }
 (** What one {!reindex_with_delta} changed — the input to {!sync_delta}. *)
 

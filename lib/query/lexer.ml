@@ -94,7 +94,9 @@ let tokens input =
           let digits, after_digits = take_while (i + 1) (fun c -> c >= '0' && c <= '9') in
           let errors, word_start =
             if digits <> "" && after_digits < n && input.[after_digits] = '~' then
-              (int_of_string digits, after_digits + 1)
+              match int_of_string_opt digits with
+              | Some k -> (k, after_digits + 1)
+              | None -> fail "edit distance out of range" (i + 1)
             else (1, i + 1)
           in
           let w, stop = take_while word_start is_ident_char in

@@ -9,6 +9,7 @@ type t = {
          simulated device so the crash harness can rebuild any
          partially-persisted state.  Detached (the default) costs one
          match per mutation. *)
+  mutable resolves : int;  (* path resolutions so far: a work count *)
 }
 
 type stat = {
@@ -25,7 +26,13 @@ type stat = {
 let max_symlink_depth = 40
 
 let create () =
-  { inodes = Inode.create_table (); bus = Event.create_bus (); user = 0; disk = None }
+  {
+    inodes = Inode.create_table ();
+    bus = Event.create_bus ();
+    user = 0;
+    disk = None;
+    resolves = 0;
+  }
 
 let set_user fs uid = fs.user <- uid
 
@@ -61,6 +68,7 @@ let node fs ino = Inode.get fs.inodes ino
    a stack of remaining components and splice in symlink targets, bounding
    total splices by [max_symlink_depth]. *)
 let resolve_ino fs ~follow_last path =
+  fs.resolves <- fs.resolves + 1;
   let orig = path in
   (* Carry the physical ancestor stack (inos up to the root) so ".." spliced
      in by relative symlink targets is O(1). *)
@@ -97,6 +105,7 @@ let resolve_ino fs ~follow_last path =
 (* Like [resolve_ino] but also returns the physical path of the result, used
    by [resolve].  We rebuild names by tracking them alongside inos. *)
 let resolve_physical fs path =
+  fs.resolves <- fs.resolves + 1;
   let orig = path in
   let rec go stack comps depth =
     if depth > max_symlink_depth then Errno.raise_error Errno.ELOOP orig;
@@ -283,6 +292,14 @@ let file_size fs path =
   let _, f = file_of_ino fs ino path in
   f.Inode.len
 
+(* Drop entry [name] (inode [n], object [kind]) from directory table [d]. *)
+let drop_entry fs d name (n : Inode.t) kind path =
+  Hashtbl.remove d name;
+  n.Inode.nlink <- n.Inode.nlink - 1;
+  if n.Inode.nlink <= 0 then Inode.free fs.inodes n.Inode.ino;
+  log_disk fs (Store.Unlink path);
+  Event.publish fs.bus (Event.Removed (kind, path))
+
 let unlink fs path =
   let pn, d, name, ino, path = lookup_entry fs path in
   require fs pn 3 path;
@@ -293,29 +310,104 @@ let unlink fs path =
     | Inode.Regular _ -> Event.File
     | Inode.Symlink _ -> Event.Link
   in
-  Hashtbl.remove d name;
-  n.Inode.nlink <- n.Inode.nlink - 1;
-  if n.Inode.nlink <= 0 then Inode.free fs.inodes ino;
-  log_disk fs (Store.Unlink path);
-  Event.publish fs.bus (Event.Removed (kind, path))
+  drop_entry fs d name n kind path
 
 (* -- symlinks ------------------------------------------------------------ *)
+
+(* Enter a new symbolic link [name] -> [target] into directory table [d]. *)
+let enter_symlink fs d name path target =
+  if Hashtbl.mem d name then Errno.raise_error Errno.EEXIST path;
+  let n = Inode.alloc fs.inodes ~owner:fs.user ~mode:0o777 (Inode.Symlink target) in
+  n.Inode.nlink <- 1;
+  Hashtbl.add d name n.Inode.ino;
+  log_disk fs (Store.Symlink { target; link = path });
+  Event.publish fs.bus (Event.Created (Event.Link, path))
 
 let symlink fs ~target ~link =
   let pn, d, name, path = locate_parent fs link in
   require fs pn 3 path;
-  if Hashtbl.mem d name then Errno.raise_error Errno.EEXIST path;
-  let n = Inode.alloc fs.inodes ~owner:fs.user ~mode:0o777 (Inode.Symlink target) in
-  n.Inode.nlink <- 1;
-  Hashtbl.replace d name n.Inode.ino;
-  log_disk fs (Store.Symlink { target; link = path });
-  Event.publish fs.bus (Event.Created (Event.Link, path))
+  enter_symlink fs d name path target
 
 let readlink fs path =
   let _, _, _, ino, path = lookup_entry fs path in
   match (node fs ino).Inode.body with
   | Inode.Symlink target -> target
   | Inode.Regular _ | Inode.Directory _ -> Errno.raise_error Errno.EINVAL path
+
+(* -- link surgery on one directory ----------------------------------------
+
+   A semantic directory's links come and go by the hundred.  Each
+   operation below resolves the directory once and works on its entry
+   table; the device still records, and the bus still publishes, one op and
+   one event per link, in list order, as the per-link calls do. *)
+
+let dir_table fs dir =
+  let n = node fs (resolve_ino fs ~follow_last:true dir) in
+  match n.Inode.body with
+  | Inode.Directory d -> (n, d)
+  | Inode.Regular _ | Inode.Symlink _ -> Errno.raise_error Errno.ENOTDIR dir
+
+(* [dir] normalized and [name] a single entry name: no re-normalizing. *)
+let entry_path dir name = if dir = Vpath.root then "/" ^ name else dir ^ "/" ^ name
+
+let check_name dir name =
+  if not (Vpath.valid_name name) then Errno.raise_error Errno.EINVAL (entry_path dir name)
+
+let entry_test fs dir =
+  let _, d = dir_table fs (Vpath.normalize dir) in
+  fun name -> Hashtbl.mem d name
+
+let add_symlinks fs dir links =
+  match links with
+  | [] -> ()
+  | (first, _) :: _ ->
+      let dir = Vpath.normalize dir in
+      check_name dir first;
+      let pn, d = dir_table fs dir in
+      require fs pn 3 (entry_path dir first);
+      List.iter
+        (fun (name, target) ->
+          check_name dir name;
+          enter_symlink fs d name (entry_path dir name) target)
+        links
+
+let remove_symlinks fs dir names =
+  if names = [] then 0
+  else begin
+    let dir = Vpath.normalize dir in
+    let pn, d = dir_table fs dir in
+    (* Write permission is checked where [unlink] would first need it: at
+       the first link actually removed. *)
+    let removed = ref 0 in
+    List.iter
+      (fun name ->
+        check_name dir name;
+        match Hashtbl.find_opt d name with
+        | None -> ()
+        | Some ino -> (
+            let n = node fs ino in
+            match n.Inode.body with
+            | Inode.Symlink _ ->
+                let path = entry_path dir name in
+                if !removed = 0 then require fs pn 3 path;
+                drop_entry fs d name n Event.Link path;
+                incr removed
+            | Inode.Regular _ | Inode.Directory _ -> ()))
+      names;
+    !removed
+  end
+
+let symlinks fs dir =
+  let dir = Vpath.normalize dir in
+  let n, d = dir_table fs dir in
+  require fs n 4 dir;
+  Hashtbl.fold
+    (fun name ino acc ->
+      match (node fs ino).Inode.body with
+      | Inode.Symlink target -> (name, target) :: acc
+      | Inode.Regular _ | Inode.Directory _ -> acc)
+    d []
+  |> List.sort (fun (a, _) (b, _) -> compare a b)
 
 (* -- rename --------------------------------------------------------------- *)
 
@@ -462,6 +554,8 @@ let rmtree fs path =
 (* -- low-level ------------------------------------------------------------ *)
 
 let ino_of_path fs path = resolve_ino fs ~follow_last:true path
+
+let resolve_count fs = fs.resolves
 
 let pread_ino fs ino ~pos ~len =
   if pos < 0 || len < 0 then Errno.raise_error Errno.EINVAL "pread";

@@ -131,6 +131,42 @@ val symlink : t -> target:string -> link:string -> unit
 val readlink : t -> string -> string
 (** Target of a symbolic link. [EINVAL] when not a symlink. *)
 
+(** {1 Link surgery on one directory}
+
+    Bulk forms of {!symlink}, {!unlink} and {!readlink} for the links of
+    one directory.  Each resolves the directory once and works on its
+    entry table.  The attached device still records one [Symlink] or
+    [Unlink] op per link, and the bus publishes one event per link, in
+    list order, as the per-link calls do.  Every name must be a single
+    entry name ({!Vpath.valid_name}); another raises [EINVAL] when it is
+    reached.  A failing link stops the batch with the error the per-link
+    call raises; the links before it stay done.  Event subscribers must
+    not remove the directory while a batch publishes. *)
+
+val add_symlinks : t -> string -> (string * string) list -> unit
+(** [add_symlinks fs dir links] creates [dir/name -> target] for every
+    [(name, target)], in order.  [ENOENT], [ENOTDIR] or [EACCES] when
+    [dir] does not resolve to a directory the current user may write and
+    search, [EEXIST] at a name already taken.  An empty list does
+    nothing. *)
+
+val remove_symlinks : t -> string -> string list -> int
+(** [remove_symlinks fs dir names] unlinks each name that is a symbolic
+    link of [dir], in order, leaves every other name alone (missing, a
+    file, a directory), and returns how many it unlinked.  [ENOENT],
+    [ENOTDIR] or [EACCES] when [dir] does not resolve; [EACCES] at the
+    first link to remove when the current user may not write and search
+    [dir].  An empty list does nothing. *)
+
+val symlinks : t -> string -> (string * string) list
+(** The symbolic links of a directory as [(name, target)] pairs, sorted by
+    name.  Needs read permission on the directory, as {!readdir} does. *)
+
+val entry_test : t -> string -> string -> bool
+(** [entry_test fs dir] resolves [dir] once ([ENOENT], [ENOTDIR]) and
+    returns a test of a name against its entry table, as {!lexists} of
+    [dir/name] would answer; the test sees later changes to the table. *)
+
 (** {1 Rename} *)
 
 val rename : t -> src:string -> dst:string -> unit
@@ -177,6 +213,11 @@ val find_files : t -> string -> string list
 
 val ino_of_path : t -> string -> Inode.ino
 (** Inode of the object the path resolves to (follows symlinks). *)
+
+val resolve_count : t -> int
+(** Path resolutions performed so far, failed ones included: a
+    deterministic work count (the bench gates resolutions per link
+    materialisation on it). *)
 
 val pread_ino : t -> Inode.ino -> pos:int -> len:int -> string
 (** Read up to [len] bytes at offset [pos] of a regular file's inode; short

@@ -50,7 +50,7 @@ let alloc t ?(owner = 0) ?(mode = 0o777) body =
   t.next <- t.next + 1;
   let stamp = tick t in
   let node = { ino; body; nlink = 0; mtime = stamp; ctime = stamp; owner; mode } in
-  Hashtbl.replace t.inodes ino node;
+  Hashtbl.add t.inodes ino node (* a fresh number: no binding to replace *);
   node
 
 let get t ino =

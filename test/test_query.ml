@@ -44,6 +44,7 @@ let test_lexer_errors () =
   expect_err "{}" (* empty dirref *);
   expect_err "~" (* bare approx *);
   expect_err "name:" (* missing value *);
+  expect_err "~99999999999999999999~word" (* edit distance past the int range *);
   expect_err "&"
 
 (* -- parser ---------------------------------------------------------------------- *)
@@ -173,6 +174,49 @@ let prop_print_parse_print_stable =
   QCheck.Test.make ~name:"printing is stable" ~count:500 arb_ast (fun q ->
       let s = Ast.to_string q in
       Ast.to_string (parse s) = s)
+
+(* -- total decoding of raw bytes ------------------------------------------------
+
+   The parser reads user input and stored [sd-N.query] files: on any bytes
+   it returns a query or a [Parse_error], and the lexer a token list or a
+   [Syntax_error] — never another exception.  Raw strings are drawn from
+   arbitrary bytes and from fragments of the concrete syntax, so the
+   generator reaches deep nesting, long digit runs and every delimiter. *)
+
+let fragments =
+  [|
+    "("; ")"; "\""; "{"; "}"; "/"; "\\"; ":"; "~"; "*"; " "; "\t"; "\n"; "AND"; "OR";
+    "NOT"; "and"; "word"; "x"; "9"; "99999999999999999999"; "~2~"; "a:b"; "((((((((";
+    "NOT NOT NOT NOT "; "/a\\/b/"; "{/p}"; "\"a b\""; "\000"; "\255";
+  |]
+
+let gen_raw =
+  QCheck.Gen.(
+    frequency
+      [
+        (1, string_size ~gen:char (int_bound 40));
+        ( 3,
+          map (String.concat "")
+            (list_size (int_bound 30) (oneofa fragments)) );
+        ( 1,
+          map2
+            (fun k f -> String.concat "" (List.init k (fun _ -> f)))
+            (int_range 1 20_000) (oneofl [ "("; "NOT "; "~"; "{" ]) );
+        (* Numeric fields at and past the integer range. *)
+        (1, map (fun k -> "~" ^ String.make k '9' ^ "~word") (int_range 1 30));
+      ])
+
+let arb_raw =
+  QCheck.make gen_raw ~print:(fun s ->
+      Printf.sprintf "%S" (if String.length s > 200 then String.sub s 0 200 ^ "..." else s))
+
+let prop_parse_total =
+  QCheck.Test.make ~name:"parsing raw bytes returns a query or an error" ~count:1000 arb_raw
+    (fun s ->
+      (match Lexer.tokens s with
+      | _ -> ()
+      | exception Lexer.Syntax_error _ -> ());
+      match Parser.parse_result s with Ok _ | Error _ -> true)
 
 (* -- evaluator -------------------------------------------------------------------------- *)
 
@@ -366,6 +410,7 @@ let () =
           [
             prop_roundtrip;
             prop_print_parse_print_stable;
+            prop_parse_total;
             prop_scope_restriction_commutes;
             prop_planner_preserves_semantics;
           ] );

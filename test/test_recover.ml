@@ -55,6 +55,28 @@ let test_recover_dir_with_spaces () =
   check_bool "semantic again" true (Hac.is_semantic t2 "/my docs/alpha files");
   check_list "links back" [ "/my docs/a.txt" ] (transient_targets t2 "/my docs/alpha files")
 
+(* A mount that falls back to full replay reads the journal chain — and so
+   loads the checkpoint image — once: the fast path's refusal hands its
+   chain to [Hac.of_fs] and [Recover.reload_report]. *)
+let test_full_replay_reads_chain_once () =
+  let t = Hac.create () in
+  Hac.mkdir_p t "/docs";
+  Hac.write_file t "/docs/a.txt" "alpha text\n";
+  Hac.smkdir t "/alpha" "alpha";
+  Hac.enable_store t;
+  ignore (Hac.checkpoint t : int);
+  (* A post-checkpoint directory rename (an M record) refuses the fast path. *)
+  Hac.mkdir_p t "/old";
+  Hac.settle t;
+  Hac.rename t ~src:"/old" ~dst:"/new";
+  Hac.settle t;
+  Hac.shutdown ~graceful:false t;
+  let before = Hac_core.Journal.chain_reads () in
+  let t2, mode = Recover.mount (Hac.fs t) in
+  check_bool "full replay" true (mode = `Full);
+  check_int "one chain read" 1 (Hac_core.Journal.chain_reads () - before);
+  check_list "links back" [ "/docs/a.txt" ] (transient_targets t2 "/alpha")
+
 let test_journal_accounting () =
   let fs = build_and_crash () in
   (* Damage the log: one garbage line up front, one torn record at the end. *)
@@ -277,6 +299,8 @@ let () =
           Alcotest.test_case "checkpoint enables round two" `Quick test_checkpoint_rewrites;
           Alcotest.test_case "dir with spaces" `Quick test_recover_dir_with_spaces;
           Alcotest.test_case "journal accounting" `Quick test_journal_accounting;
+          Alcotest.test_case "full replay reads the chain once" `Quick
+            test_full_replay_reads_chain_once;
         ] );
       ( "prohibit",
         [ Alcotest.test_case "prohibit_target" `Quick test_prohibit_target_api ] );

@@ -421,6 +421,81 @@ let test_namespace_stale_transition () =
   Alcotest.(check (list string))
     "recovered entries" [ "a.txt"; "paper.ps" ] (link_names t "/docs")
 
+(* -- link patches of a delta settle ----------------------------------------
+
+   A delta settle patches only the delta's links, found through the
+   directory's by-target index.  Twin A settles by delta, twin B by the
+   [reindex_full] oracle; after every step both must agree on what is
+   observable and on the symbolic links physically present. *)
+
+let step (a, b) what f =
+  f a;
+  f b;
+  ignore (Hac.reindex a ());
+  ignore (Hac.reindex_full b ());
+  Alcotest.(check string) (what ^ ": observable") (observe b) (observe a);
+  let physical t =
+    String.concat "," (List.map (fun (n, l) -> n ^ ">" ^ l) (Fs.symlinks (Hac.fs t) "/s"))
+  in
+  Alcotest.(check string) (what ^ ": physical links") (physical b) (physical a)
+
+let test_delta_removes_linked_doc () =
+  let ((a, _) as twins) = (fresh (), fresh ()) in
+  step twins "setup" (fun t ->
+      (* Three documents share one basename: a.txt, a.txt~2, a.txt~3.  They
+         are indexed before the directory is made, so both twins name them
+         in document order when the links materialise. *)
+      List.iter
+        (fun p -> Hac.write_file t p "red text")
+        [ "/d0/a.txt"; "/d1/a.txt"; "/d2/a.txt"; "/d2/b.txt" ];
+      ignore (Hac.reindex_full t ());
+      Hac.smkdir t "/s" "red";
+      ignore (Hac.links t "/s"));
+  let all = [ "a.txt"; "a.txt~2"; "a.txt~3"; "b.txt" ] in
+  Alcotest.(check (list string)) "linked" all (link_names a "/s");
+  let name_of target =
+    match List.find_opt (fun l -> Link.target_key l.Link.target = target) (Hac.links a "/s") with
+    | Some l -> l.Link.name
+    | None -> Alcotest.failf "no link to %s" target
+  in
+  let gone = name_of "/d1/a.txt" in
+  let fallbacks = counter a "sync.delta.fallback" in
+  (* One of them goes: its document leaves the index, so only the delta
+     still knows its path. *)
+  step twins "delete" (fun t -> Hac.unlink t "/d1/a.txt");
+  Alcotest.(check int) "a content-only change settles by delta" fallbacks
+    (counter a "sync.delta.fallback");
+  Alcotest.(check (list string)) "its link went"
+    (List.filter (fun n -> n <> gone) all)
+    (link_names a "/s");
+  Alcotest.(check bool) "physically too" false (Fs.lexists (Hac.fs a) ("/s/" ^ gone));
+  step twins "recreate" (fun t -> Hac.write_file t "/d1/a.txt" "red again");
+  Alcotest.(check string) "the freed name is reused" gone (name_of "/d1/a.txt");
+  Alcotest.(check (list string)) "all back" all (link_names a "/s")
+
+(* Deleting one of two aliases of a target is not a rejection of the
+   target: the other alias keeps it, and nothing is prohibited. *)
+let test_alias_unlink_is_no_prohibition () =
+  let ((a, _) as twins) = (fresh (), fresh ()) in
+  step twins "setup" (fun t ->
+      Hac.write_file t "/d0/a.txt" "red text";
+      Hac.write_file t "/d0/b.txt" "red text";
+      Hac.smkdir t "/s" "red";
+      ignore (Hac.links t "/s"));
+  step twins "unlink the transient alias" (fun t ->
+      Hac.symlink t ~target:"/d0/a.txt" ~link:"/s/alias";
+      Hac.unlink t "/s/a.txt");
+  Alcotest.(check (list string)) "nothing prohibited" [] (Hac.prohibited a "/s");
+  Alcotest.(check (list string)) "the permanent alias stays" [ "alias"; "b.txt" ]
+    (link_names a "/s");
+  step twins "unlink the permanent alias" (fun t ->
+      Hac.symlink t ~target:"/d0/b.txt" ~link:"/s/b2";
+      Hac.unlink t "/s/b2");
+  Alcotest.(check (list string)) "still nothing prohibited" [] (Hac.prohibited a "/s");
+  step twins "a delta after" (fun t -> Hac.write_file t "/d0/b.txt" "red and more");
+  Alcotest.(check (list string)) "the transient alias stays" [ "alias"; "b.txt" ]
+    (link_names a "/s")
+
 let () =
   Alcotest.run "sync_delta"
     [
@@ -447,6 +522,13 @@ let () =
         [
           Alcotest.test_case "reindex invalidates" `Quick test_pass_caches_see_reindex;
           Alcotest.test_case "siblings share a pass" `Quick test_sibling_dirs_share_pass;
+        ] );
+      ( "link patches",
+        [
+          Alcotest.test_case "delta removes a linked document" `Quick
+            test_delta_removes_linked_doc;
+          Alcotest.test_case "unlinking one alias is no prohibition" `Quick
+            test_alias_unlink_is_no_prohibition;
         ] );
       ( "bounded settle",
         [ Alcotest.test_case "delta bounds regex and approx" `Quick test_delta_bounds_sweeps ] );
