@@ -702,10 +702,17 @@ let incremental_settle () =
   touch ();
   let verified0 = counter "search.docs_verified" and trusted0 = counter "search.docs_trusted" in
   let dirs0 = counter "sync.dirs_reevaluated" in
+  let files0 = counter "sync.persist.files" and changed0 = counter "sync.dirs_changed" in
   ignore (Hac.reindex t ());
   let verified = counter "search.docs_verified" - verified0
   and trusted = counter "search.docs_trusted" - trusted0
   and dirs_reevaluated = counter "sync.dirs_reevaluated" - dirs0 in
+  (* The touch moved results only: each changed directory rewrites its
+     result file, not its query, link and prohibition files. *)
+  let files_per_changed =
+    float_of_int (counter "sync.persist.files" - files0)
+    /. float_of_int (max 1 (counter "sync.dirs_changed" - changed0))
+  in
   let after_delta = snapshot () in
   ignore (Hac.reindex_full t ());
   let after_full = snapshot () in
@@ -716,6 +723,33 @@ let incremental_settle () =
   let rc = Hac.result_cache_stats t in
   let hits = rc.Hac_core.Rescache.hits and misses = rc.Hac_core.Rescache.misses in
   let hit_rate = float_of_int hits /. float_of_int (max 1 (hits + misses)) in
+  (* Compaction by drift, on a fresh instance over the same corpus: [k]
+     files rewritten in place, then the second half removed, which crosses
+     the stale ratio.  The compaction re-tokenizes the [k] drifted files,
+     not the live corpus. *)
+  let reposted_per_compaction =
+    let c = Hac.create ~stem:false () in
+    let cfs = Hac.fs c in
+    Fs.mkdir_p cfs "/data";
+    for i = 0 to n_files - 1 do
+      Fs.write_file cfs (path i) (content ~toggled:false i)
+    done;
+    ignore (Hac.reindex c ());
+    for i = 0 to k - 1 do
+      Fs.write_file cfs (path i) (content ~toggled:true i)
+    done;
+    ignore (Hac.reindex c ());
+    for i = n_files / 2 to n_files - 1 do
+      Fs.unlink cfs (path i)
+    done;
+    let counter name =
+      match Metrics.find (Hac.metrics c) name with Some (Metrics.Counter_value n) -> n | _ -> 0
+    in
+    let rebuilds0 = counter "sync.index.rebuilds" and reposted0 = counter "index.compact.reposted" in
+    ignore (Hac.reindex c ());
+    (counter "index.compact.reposted" - reposted0)
+    / max 1 (counter "sync.index.rebuilds" - rebuilds0)
+  in
   let speedup = full_s /. delta_s in
   Printf.printf "  corpus: %d files, %d semantic dirs, %d files touched per settle\n\n"
     n_files n_dirs k;
@@ -728,12 +762,19 @@ let incremental_settle () =
   Printf.printf "  delta settle: %d documents verified, %d trusted on their postings\n" verified
     trusted;
   Printf.printf "  delta settle: %d of %d directories re-evaluated\n" dirs_reevaluated n_dirs;
+  Printf.printf "  delta settle: %.2f structure files written per changed directory\n"
+    files_per_changed;
+  Printf.printf "  compaction after %d in-place rewrites: %d documents re-tokenized (%d live)\n" k
+    reposted_per_compaction (n_files / 2);
   shape "delta settle reaches the sync_all fixpoint" (after_delta = after_full);
   shape
     (Printf.sprintf "delta settle at least %s full"
        (if smoke || quick then "as fast as" else "5x faster than"))
     (speedup >= if smoke || quick then 1.0 else 5.0);
   shape "no-change sync_all served from the cache" (hits > 0 && misses = 0);
+  shape "a result-only settle rewrites one structure file per changed directory"
+    (files_per_changed = 1.0);
+  shape "a compaction re-tokenizes only the drifted documents" (reposted_per_compaction = k);
   let b = Buffer.create 512 in
   Printf.bprintf b "{\n";
   Printf.bprintf b
@@ -748,6 +789,8 @@ let incremental_settle () =
   Printf.bprintf b "  \"fixpoint_match\": %b,\n" (after_delta = after_full);
   Printf.bprintf b "  \"delta_docs\": { \"verified\": %d, \"trusted\": %d },\n" verified trusted;
   Printf.bprintf b "  \"dirs_reevaluated_per_settle\": %d,\n" dirs_reevaluated;
+  Printf.bprintf b "  \"structure_files_per_changed_dir\": %.2f,\n" files_per_changed;
+  Printf.bprintf b "  \"reposted_per_compaction\": %d,\n" reposted_per_compaction;
   Printf.bprintf b
     "  \"cache\": { \"hits\": %d, \"misses\": %d, \"entries\": %d, \"hit_rate\": %.3f }\n"
     hits misses rc.Hac_core.Rescache.entries hit_rate;

@@ -45,6 +45,8 @@ type t = {
   sync_changed : Metrics.counter;
   reindex_files : Metrics.counter;
   index_rebuilds : Metrics.counter;
+  compact_reposted : Metrics.counter;
+  persist_files : Metrics.counter;
   memo_hits : Metrics.counter;
   memo_misses : Metrics.counter;
   doc_cache_hits : Metrics.counter;
@@ -114,6 +116,8 @@ let create ~now () =
     sync_changed = Metrics.counter m "sync.dirs_changed";
     reindex_files = Metrics.counter m "sync.reindex.files";
     index_rebuilds = Metrics.counter m "sync.index.rebuilds";
+    compact_reposted = Metrics.counter m "index.compact.reposted";
+    persist_files = Metrics.counter m "sync.persist.files";
     memo_hits = Metrics.counter m "pass.term_memo.hits";
     memo_misses = Metrics.counter m "pass.term_memo.misses";
     doc_cache_hits = Metrics.counter m "pass.doc_cache.hits";

@@ -77,6 +77,10 @@ type t = {
   sync_changed : Hac_obs.Metrics.counter;
   reindex_files : Hac_obs.Metrics.counter;
   index_rebuilds : Hac_obs.Metrics.counter;
+  compact_reposted : Hac_obs.Metrics.counter;
+      (** Documents a compaction re-tokenized: its live drifted ones. *)
+  persist_files : Hac_obs.Metrics.counter;
+      (** Structure files ([sd-N.*]) written. *)
   memo_hits : Hac_obs.Metrics.counter;  (** Per-pass term-memo hits. *)
   memo_misses : Hac_obs.Metrics.counter;  (** Per-pass term-memo misses. *)
   doc_cache_hits : Hac_obs.Metrics.counter;  (** Per-pass doc-cache hits. *)

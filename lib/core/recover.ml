@@ -72,8 +72,9 @@ let non_empty_lines text =
   |> List.map String.trim
   |> List.filter (fun l -> l <> "")
 
-(* .links lines: "<permanent|transient> <name> <target>" (plus "remote ..."
-   result lines, which the adoption of physical links supersedes). *)
+(* .links lines: "permanent <name> <target>".  Files written before the
+   link file held permanent links only also carry "transient ..." and
+   "remote ..." lines, which are skipped. *)
 let permanent_names links_text =
   non_empty_lines links_text
   |> List.filter_map (fun line ->

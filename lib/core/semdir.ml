@@ -136,6 +136,10 @@ let unindex_name sd key name =
       List.iter (fun _ -> Hashtbl.remove sd.by_target key) names;
       List.iter (fun n -> if n <> name then Hashtbl.add sd.by_target key n) (List.rev names)
 
+(* Only the permanent links are persisted metadata; a transient link is
+   the result bitmap's to record. *)
+let note_meta sd l = if l.Link.cls = Link.Permanent then sd.meta_dirty <- true
+
 let forget sd name =
   match Hashtbl.find_opt sd.links name with
   | None -> None
@@ -143,6 +147,7 @@ let forget sd name =
       Hashtbl.remove sd.links name;
       unindex_name sd (Link.target_key l.Link.target) name;
       sd.listing <- None;
+      note_meta sd l;
       Some l
 
 (* Enter [l], whose name is not present, into the tables. *)
@@ -150,7 +155,7 @@ let insert sd l =
   Hashtbl.add sd.links l.Link.name l;
   sd.listing <- None;
   Hashtbl.add sd.by_target (Link.target_key l.Link.target) l.Link.name;
-  sd.meta_dirty <- true;
+  note_meta sd l;
   bump sd
 
 let add_link sd l =
@@ -167,7 +172,6 @@ let remove_link sd name =
       (match split_suffix name with
       | Some (base, i) when i < memo sd base -> memo_cell sd base := i
       | Some _ | None -> ());
-      sd.meta_dirty <- true;
       bump sd;
       Some l
 

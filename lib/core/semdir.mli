@@ -44,10 +44,13 @@ type t = private {
   prohibited : (string, unit) Hashtbl.t;  (** Prohibited target keys. *)
   mutable last_synced : int;  (** Logical stamp of the last re-evaluation. *)
   mutable meta_dirty : bool;
-      (** True when links or prohibitions changed since the last persist —
-          lets {!Sync} skip the metadata write for untouched directories
-          without ever losing recovery state.  Set by every mutator here;
-          cleared by {!Sync} after persisting. *)
+      (** True when the query, the permanent links or the prohibitions
+          changed since the last persist — what {!Sync} writes beside the
+          result bitmap, so a settle that moved only the result rewrites
+          the bitmap alone without ever losing recovery state.  True at
+          creation; set by {!set_query}, by adding or removing a permanent
+          link and by {!prohibit}/{!unprohibit}, never by transient link
+          surgery; cleared by {!Sync} after persisting. *)
   mutable stamp : int;
       (** Change stamp: moves whenever what the directory serves can change
           — a link added or removed, a new local or remote result (stale
@@ -79,7 +82,8 @@ val mark_synced : t -> int -> unit
 (** Record the logical stamp of the latest re-evaluation. *)
 
 val mark_persisted : t -> unit
-(** Clear [meta_dirty] once the metadata is written. *)
+(** Clear [meta_dirty] once the query, permanent links and prohibitions are
+    written. *)
 
 val find_link : t -> string -> Link.t option
 (** Present link by name. *)

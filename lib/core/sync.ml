@@ -223,12 +223,13 @@ let meta_file uid suffix = Printf.sprintf "%s/sd-%d.%s" meta_root uid suffix
 
 let meta_files uid = List.map (meta_file uid) [ "query"; "links"; "proh"; "result" ]
 
-(* A directory's structure files as [persist_semdir] writes them, rendered
-   once per persist.  [header] heads the result file: a digest of the
-   query, the permanent links and the prohibitions the result was computed
-   for.  Transient links stay out of it — materialisation adds them
-   without persisting — so it depends on nothing but the directory's own
-   persisted state, and equal state still persists as equal bytes. *)
+(* A directory's query, permanent-link and prohibition files as
+   [persist_semdir] writes them, rendered once per persist.  [header] heads
+   the result file: a digest of exactly those three files' bytes, the state
+   the result was computed for.  Transient links stay out of every file —
+   they are the result bitmap plus the physical symlinks — so the bytes
+   depend on nothing but the directory's own persisted state, and equal
+   state still persists as equal bytes. *)
 type rendered = {
   query_data : string;
   links_data : string;
@@ -244,29 +245,21 @@ let render (ctx : Ctx.t) (sd : Semdir.t) =
   let query_data =
     Ast.to_string ~path_of_uid:(Uidmap.path_of_uid ctx.uids) sd.Semdir.query ^ "\n"
   in
-  let links = Buffer.create 128 and permanent = Buffer.create 64 in
+  let links = Buffer.create 64 in
   List.iter
     (fun l ->
-      let line =
-        Printf.sprintf "%s %s %s\n" (Link.cls_name l.Link.cls) l.Link.name
-          (Link.symlink_value l.Link.target)
-      in
-      Buffer.add_string links line;
-      if l.Link.cls = Link.Permanent then Buffer.add_string permanent line)
-    (Semdir.all_links sd);
-  List.iter
-    (fun r ->
-      Buffer.add_string links ("remote " ^ r.Semdir.rr_ns ^ " " ^ r.Semdir.rr_uri ^ "\n"))
-    sd.Semdir.transient_remote;
+      Printf.bprintf links "%s %s %s\n" (Link.cls_name l.Link.cls) l.Link.name
+        (Link.symlink_value l.Link.target))
+    (Semdir.links_of_cls sd Link.Permanent);
+  let links_data = Buffer.contents links in
   let proh_data = String.concat "\n" (Semdir.prohibited_keys sd) in
-  let permanent = Buffer.contents permanent in
   let framed =
     Printf.sprintf "%d:%s%d:%s%d:%s" (String.length query_data) query_data
-      (String.length permanent) permanent (String.length proh_data) proh_data
+      (String.length links_data) links_data (String.length proh_data) proh_data
   in
   {
     query_data;
-    links_data = Buffer.contents links;
+    links_data;
     proh_data;
     header = result_magic ^ Digest.to_hex (Digest.string framed);
   }
@@ -308,16 +301,43 @@ let decode_result payload =
     in
     Some (String.sub payload 0 header_len, set)
 
-let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
-  let r = render ctx sd in
-  let result_data = r.header ^ "\n" ^ encode_bitmap sd.Semdir.transient_local in
+(* Write [(suffix, payload)] structure files, in order.  Each is sealed
+   whole, so a torn write leaves a detectably-damaged file rather than a
+   silently truncated query or link set. *)
+let write_structures (ctx : Ctx.t) uid files =
   Ctx.with_maintenance ctx (fun () ->
       if not (Fs.is_dir ctx.fs meta_root) then Fs.mkdir_p ctx.fs meta_root;
-      (* Sealed whole, so a torn write leaves a detectably-damaged file
-         rather than a silently truncated query or link set. *)
-      List.iter2 (Fs.write_file ctx.fs) (meta_files sd.Semdir.uid)
-        (List.map Hac_store.Seal.seal_blob
-           [ r.query_data; r.links_data; r.proh_data; result_data ]))
+      List.iter
+        (fun (suffix, data) ->
+          Fs.write_file ctx.fs (meta_file uid suffix) (Hac_store.Seal.seal_blob data))
+        files);
+  Hac_obs.Metrics.incr ~by:(List.length files) ctx.instr.Instr.persist_files
+
+let result_data header (sd : Semdir.t) =
+  header ^ "\n" ^ encode_bitmap sd.Semdir.transient_local
+
+(* The result goes last: a crash between the writes leaves new metadata
+   beside an older result, whose header then no longer matches. *)
+let persist_semdir (ctx : Ctx.t) (sd : Semdir.t) =
+  let r = render ctx sd in
+  write_structures ctx sd.Semdir.uid
+    [
+      ("query", r.query_data);
+      ("links", r.links_data);
+      ("proh", r.proh_data);
+      ("result", result_data r.header sd);
+    ];
+  Semdir.mark_persisted sd
+
+(* After a re-evaluation: all four files when the query, permanent links or
+   prohibitions moved since the last persist (or the directory was never
+   persisted in this life), else the result alone when it moved.  The three
+   other files then hold what [render] would write again, so the header
+   they get digested into is the one on disk. *)
+let persist_after_sync (ctx : Ctx.t) (sd : Semdir.t) ~first ~result_changed =
+  if first || sd.Semdir.meta_dirty then persist_semdir ctx sd
+  else if result_changed then
+    write_structures ctx sd.Semdir.uid [ ("result", result_data (render ctx sd).header sd) ]
 
 let unpersist_semdir (ctx : Ctx.t) uid =
   Ctx.with_maintenance ctx (fun () ->
@@ -673,10 +693,8 @@ let resync_dir_in pass (ctx : Ctx.t) uid =
           List.rev !remote_acc
         end
       in
-      let changed =
-        (not (Fileset.equal new_local sd.Semdir.transient_local))
-        || new_remote <> sd.Semdir.transient_remote
-      in
+      let local_changed = not (Fileset.equal new_local sd.Semdir.transient_local) in
+      let changed = local_changed || new_remote <> sd.Semdir.transient_remote in
       Hac_obs.Metrics.incr ctx.instr.Instr.sync_dirs;
       if changed then Hac_obs.Metrics.incr ctx.instr.Instr.sync_changed;
       if changed then begin
@@ -684,20 +702,29 @@ let resync_dir_in pass (ctx : Ctx.t) uid =
         Semdir.set_transient_remote sd new_remote
       end;
       (* 4. A directory whose links are already expanded must stay
-            physically consistent: diff and patch its transient symlinks. *)
+            physically consistent: diff and patch its transient symlinks.
+            New links are made as [materialize] and the delta settle make
+            them — local documents by id, then remote results in result
+            order — so colliding names go to the same targets whichever
+            engine settles. *)
       if sd.Semdir.materialized then begin
+        let items =
+          List.rev_append
+            (Fileset.fold
+               (fun id acc ->
+                 match Index.doc_path ctx.index id with
+                 | Some p -> (p, (Link.Local p, None)) :: acc
+                 | None -> acc)
+               new_local [])
+            (List.map
+               (fun r ->
+                 ( r.Semdir.rr_uri,
+                   ( Link.Remote { ns_id = r.Semdir.rr_ns; uri = r.Semdir.rr_uri },
+                     Some r.Semdir.rr_name ) ))
+               new_remote)
+        in
         let desired = Hashtbl.create 32 in
-        Fileset.iter
-          (fun id ->
-            match Index.doc_path ctx.index id with
-            | Some p -> Hashtbl.replace desired p (Link.Local p, None)
-            | None -> ())
-          new_local;
-        List.iter
-          (fun r ->
-            Hashtbl.replace desired r.Semdir.rr_uri
-              (Link.Remote { ns_id = r.Semdir.rr_ns; uri = r.Semdir.rr_uri }, Some r.Semdir.rr_name))
-          new_remote;
+        List.iter (fun (key, _) -> Hashtbl.replace desired key ()) items;
         let stale =
           List.filter_map
             (fun l ->
@@ -709,10 +736,14 @@ let resync_dir_in pass (ctx : Ctx.t) uid =
               else Some l.Link.name)
             (Semdir.links_of_cls sd Link.Transient)
         in
-        let fresh = Hashtbl.fold (fun _ item acc -> item :: acc) desired [] in
+        let fresh =
+          List.filter_map
+            (fun (key, item) -> if Hashtbl.mem desired key then Some item else None)
+            items
+        in
         Ctx.with_maintenance ctx (fun () ->
             drop_transient ctx sd path stale;
-            add_links ctx sd path (List.rev fresh))
+            add_links ctx sd path fresh)
       end;
       if changed then begin
         (* Any later directory in this pass evaluating against stale state
@@ -723,16 +754,12 @@ let resync_dir_in pass (ctx : Ctx.t) uid =
       end;
       Rescache.store ctx.rescache ~uid ~fingerprint:fp ~generation:ctx.scope_generation
         new_local;
-      let first_sync = sd.Semdir.last_synced = 0 in
+      let first = sd.Semdir.last_synced = 0 in
       ctx.sync_stamp <- ctx.sync_stamp + 1;
       Semdir.mark_synced sd ctx.sync_stamp;
       (* The paper persists after every re-evaluation; nothing is lost by
-         skipping the write when neither the result nor the link/prohibition
-         metadata moved since the last one. *)
-      if changed || sd.Semdir.meta_dirty || first_sync then begin
-        persist_semdir ctx sd;
-        Semdir.mark_persisted sd
-      end;
+         writing only what moved since the last one. *)
+      persist_after_sync ctx sd ~first ~result_changed:local_changed;
       changed
 
 let resync_dir (ctx : Ctx.t) uid =
@@ -924,9 +951,12 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
       else forget path)
     paths;
   (* Lazy updates leave stale postings behind (Glimpse-style); once a
-     third of the document slots are dead weight, compact. *)
+     third of the document slots are dead weight, compact.  The compaction
+     reads every live document (an unreadable one is dropped) but
+     re-tokenizes only the drifted ones. *)
   if Index.stale_ratio ctx.index > 0.33 && Index.doc_count ctx.index > 0 then begin
     Hac_obs.Metrics.incr i.Instr.index_rebuilds;
+    Hac_obs.Metrics.incr ~by:(Index.drifted ctx.index) i.Instr.compact_reposted;
     let live_before = Index.doc_count ctx.index in
     span "index.rebuild" (fun () ->
         Index.rebuild ctx.index (fun id ->
@@ -1086,10 +1116,7 @@ let resync_dir_delta pass (ctx : Ctx.t) reach uid =
         end;
         ctx.sync_stamp <- ctx.sync_stamp + 1;
         Semdir.mark_synced sd ctx.sync_stamp;
-        if changed || sd.Semdir.meta_dirty then begin
-          persist_semdir ctx sd;
-          Semdir.mark_persisted sd
-        end
+        persist_after_sync ctx sd ~first:false ~result_changed:changed
       end
 
 let sync_delta (ctx : Ctx.t) delta =

@@ -46,11 +46,16 @@ val meta_files : int -> string list
     .result]) under {!meta_root}, by uid, in that order. *)
 
 val persist_semdir : Ctx.t -> Semdir.t -> unit
-(** Write a semantic directory's structures (query, link sets, prohibitions
-    and the paper's N/8-byte result bitmap) to its metadata file.  Performed
-    after every re-evaluation, mirroring the paper's disk I/O.  The result
-    file starts with a header line digesting the query, permanent links and
-    prohibitions the bitmap was computed for (see [docs/recovery.md]). *)
+(** Write all four of a semantic directory's structure files — query,
+    permanent links, prohibitions and the paper's N/8-byte result bitmap —
+    and clear {!Semdir.t.meta_dirty}.  A re-evaluation persists the same
+    way when the query, permanent links or prohibitions moved (or on the
+    directory's first re-evaluation in this life), and otherwise rewrites
+    [sd-N.result] alone when the local result moved.  Transient links are
+    in no file: they are the result bitmap plus the physical symlinks.  The
+    result file starts with a header line digesting the query, permanent
+    links and prohibitions the bitmap was computed for (see
+    [docs/recovery.md]).  Counts [sync.persist.files]. *)
 
 val decode_result : string -> (string * Hac_bitset.Fileset.t) option
 (** The header line and bitmap of an unsealed [sd-N.result] payload, or

@@ -19,15 +19,16 @@
    postings cannot vouch for it: the index lists it (with every document
    rewritten in place) as unvouched, and verification cleans those
    candidates.  Every other live candidate carries a posting of the term
-   from its current content.  {!reset} (on rebuild) reclaims.  Single-domain:
+   from its current content.  {!drop_docs} (on rebuild) reclaims the
+   postings of dead and re-posted documents in place.  Single-domain:
    lookups fill cached snapshots without synchronisation. *)
 
 module Fileset = Hac_bitset.Fileset
 
-(* Growable posting vector: doc ids appended in arrival order.  During a
-   rebuild ids arrive strictly increasing; incremental updates may append
-   out of order or duplicate (a re-posted document), which only costs a
-   sort_uniq at the next snapshot. *)
+(* Growable posting vector: doc ids appended in arrival order.  Postings of
+   a new document arrive increasing; a re-posted document may append out
+   of order or duplicate, which only costs a sort_uniq at the next
+   snapshot (or at the next {!drop_docs}, which restores the order). *)
 type vec = {
   mutable v : int array;
   mutable len : int;
@@ -112,14 +113,6 @@ let create () =
     alive = Fileset.Builder.create ();
     relabeled = Fileset.Builder.create ();
   }
-
-let reset t =
-  Hashtbl.reset t.labels;
-  t.label_count <- 0;
-  Array.fill t.doc_label 0 (Array.length t.doc_label) (-1);
-  Hashtbl.reset t.terms;
-  Fileset.Builder.clear t.alive;
-  Fileset.Builder.clear t.relabeled
 
 (* -- labels ---------------------------------------------------------------- *)
 
@@ -253,6 +246,63 @@ let post t key id =
 let post_word t id w = post t (word_key w) id
 
 let post_attr t id k v = post t (attr_key k v) id
+
+(* -- compaction --------------------------------------------------------------
+
+   One in-place pass over every posting vector drops the masked documents'
+   ids, and with them every partition and term left empty, so the term
+   table holds exactly the vocabulary of the documents kept.  The mask is
+   probed once per posting: an array read, not a set lookup.  Dropping ids
+   keeps a vector's order, and the pass also drops an id repeating its
+   predecessor and re-derives [sorted], so a vector that only grew out of
+   order by re-posts snapshots without a sort again. *)
+
+let vec_drop p mask =
+  let n = Bytes.length mask in
+  let v = p.v in
+  let j = ref 0 and last = ref (-1) and sorted = ref true in
+  for i = 0 to p.len - 1 do
+    let id = Array.unsafe_get v i in
+    if id <> !last && (id >= n || Bytes.unsafe_get mask id = '\000') then begin
+      if id < !last then sorted := false;
+      Array.unsafe_set v !j id;
+      incr j;
+      last := id
+    end
+  done;
+  let changed = !j < p.len in
+  if changed then begin
+    p.len <- !j;
+    p.sorted <- !sorted;
+    p.snap <- None
+  end;
+  changed
+
+let drop_docs t mask =
+  (* Plain walks, then the removals: emptied partitions and terms are few,
+     and rewriting every bucket in place would cost a write barrier each. *)
+  let empty_terms = ref [] in
+  Hashtbl.iter
+    (fun key e ->
+      let empty_parts = ref [] in
+      Hashtbl.iter
+        (fun lid p ->
+          if vec_drop p mask then begin
+            e.all <- None;
+            if p.len = 0 then empty_parts := lid :: !empty_parts
+          end)
+        e.parts;
+      List.iter (Hashtbl.remove e.parts) !empty_parts;
+      if Hashtbl.length e.parts = 0 then empty_terms := key :: !empty_terms)
+    t.terms;
+  List.iter (Hashtbl.remove t.terms) !empty_terms;
+  (* A relabeled document's old postings are gone with the rest of its
+     postings; re-posted, it sits under its current label only. *)
+  Fileset.iter
+    (fun id ->
+      if id < Bytes.length mask && Bytes.get mask id <> '\000' then
+        Fileset.Builder.remove t.relabeled id)
+    (Fileset.Builder.snapshot t.relabeled)
 
 (* -- scoped lookup ----------------------------------------------------------
 

@@ -12,8 +12,6 @@ type t
 
 val create : unit -> t
 
-val reset : t -> unit
-(** Drop all postings, labels and drift sets (used by index rebuild). *)
 
 val label_of_path : string -> string
 (** The partition label of a document path: the depth-<=2 prefix of its
@@ -24,7 +22,14 @@ val note_doc : t -> int -> path:string -> unit
     change joins the document to the relabeled drift set. *)
 
 val note_remove : t -> int -> unit
-(** Mark the document dead; its postings stay until {!reset}. *)
+(** Mark the document dead; its postings stay until {!drop_docs}. *)
+
+val drop_docs : t -> Bytes.t -> unit
+(** [drop_docs t mask] removes every posting of each document [id] with
+    [mask.[id] <> '\000'] (ids past the mask are kept), in one in-place
+    pass over the posting vectors, then every partition and term left
+    empty; the dropped documents also leave the relabeled set.  Used by
+    index compaction, which re-posts the live ones among them. *)
 
 val alive : t -> Hac_bitset.Fileset.t
 (** Snapshot of the live-document set (cached between mutations). *)
@@ -52,7 +57,7 @@ val decode_key : string -> term option
     produces. *)
 
 val fold_words : t -> (string -> 'a -> 'a) -> 'a -> 'a
-(** Fold over every word term ever posted since the last {!reset}, walking
+(** Fold over every word term with a posting left by {!drop_docs}, walking
     the term table in place (no list is built). *)
 
 val term_count : t -> int
@@ -63,8 +68,9 @@ val has_word : t -> string -> bool
 (** Whether the word has a term entry. *)
 
 val fold_terms : t -> (term -> 'a -> 'a) -> 'a -> 'a
-(** Fold over every term ever posted since the last {!reset}, decoded —
-    including terms whose documents have all died.  No snapshot is forced. *)
+(** Fold over every term with a posting left by {!drop_docs}, decoded —
+    including terms whose documents have all died since.  No snapshot is
+    forced. *)
 
 val iter_terms : t -> (string -> Hac_bitset.Fileset.t -> unit) -> unit
 (** Every term key with its live posting set (all partitions unioned, dead

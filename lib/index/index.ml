@@ -51,8 +51,6 @@ let create ?(block_size = 1) ?(stem = true) ?transducer () =
 let set_cold t ~lookup ~cost ~words ~term_count =
   t.cold <- Some { lookup; cost; words; term_count }
 
-let clear_cold t = t.cold <- None
-
 let has_cold t = t.cold <> None
 
 let block_size t = t.block_size
@@ -341,25 +339,47 @@ let attr_cost ?under t key value =
   let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
   Cas.attr_cost ?under t.cas key value + cold_cost t (Cas.attr_key key value)
 
+let drifted t =
+  if t.cold <> None then doc_count t
+  else Fileset.cardinal (Fileset.inter (Fileset.Builder.snapshot t.drift) (universe t))
+
+(* Compaction by drift.  A live document outside the drift set has
+   postings from its current body under its current label, so only the
+   dead documents' postings and the drifted ones' need to go, and only the
+   drifted ones are re-tokenized.  A cold provider vouches for nothing (see
+   [unvouched]), so while one is installed every live document is
+   re-tokenized; afterwards the resident postings cover everything the cold
+   segments did for live documents, and dropping the provider here is what
+   ultimately retires segment files.  [mask] marks, per document slot, the
+   ids whose postings are dropped: dead, unreadable, or re-posted. *)
 let rebuild t reader =
-  t.lazy_ops <- 0;
-  Fileset.Builder.clear t.drift;
-  (* The rebuild reads every live document, so afterwards the resident
-     postings cover everything the cold segments did (for live documents);
-     dropping the provider here is what ultimately retires segment files. *)
+  let n = t.next_id in
+  let mask = Bytes.make n '\001' in
+  let all = t.cold <> None in
+  for id = 0 to n - 1 do
+    if t.docs.(id).alive && not all then Bytes.unsafe_set mask id '\000'
+  done;
+  if not all then Fileset.iter (fun id -> Bytes.set mask id '\001') (Fileset.Builder.snapshot t.drift);
   t.cold <- None;
-  Cas.reset t.cas;
-  for id = 0 to t.next_id - 1 do
-    if t.docs.(id).alive then
+  (* Every live document is read, so one the reader cannot supply is
+     dropped as removed whether or not it drifted. *)
+  let repost = ref [] in
+  for id = 0 to n - 1 do
+    let d = t.docs.(id) in
+    if d.alive then
       match reader id with
-      | Some content -> index_content t id t.docs.(id).path content
+      | Some content -> if Bytes.get mask id <> '\000' then repost := (id, content) :: !repost
       | None ->
-          (* The document vanished from under us; treat as removed. *)
-          Hashtbl.remove t.by_path t.docs.(id).path;
-          t.docs.(id).alive <- false;
-          dir_withdraw t t.docs.(id).path id;
-          Cas.note_remove t.cas id
-  done
+          Hashtbl.remove t.by_path d.path;
+          d.alive <- false;
+          dir_withdraw t d.path id;
+          Cas.note_remove t.cas id;
+          Bytes.set mask id '\001'
+  done;
+  Cas.drop_docs t.cas mask;
+  List.iter (fun (id, content) -> index_content t id t.docs.(id).path content) (List.rev !repost);
+  Fileset.Builder.clear t.drift;
+  t.lazy_ops <- 0
 
 let cas_stats t = Cas.stats ~universe:t.next_id t.cas
 

@@ -97,9 +97,6 @@ val set_cold :
     number of [words] from above without building them (it may count
     attribute terms and duplicates); {!word_count} adds it in. *)
 
-val clear_cold : t -> unit
-(** Remove the cold provider ({!rebuild} also does). *)
-
 val has_cold : t -> bool
 
 val rename_path : t -> old_path:string -> new_path:string -> unit
@@ -212,11 +209,19 @@ val vocabulary_size : t -> int
 (** Number of distinct indexed words. *)
 
 val rebuild : t -> (doc_id -> string option) -> unit
-(** Drop all postings and reindex every live document from the reader —
-    reclaims stale postings left by removals and updates, and vouches again
-    for documents updated in place, renamed or reported dirty, so the reader
-    must supply each file's current body.  A document the reader cannot
-    supply is dropped as removed. *)
+(** Compact: read every live document from the reader, drop the postings
+    of removed documents and re-tokenize the drifted ones — updated in
+    place, renamed or reported dirty; every live document while a cold
+    provider is installed, which this retires.  Reclaims the stale postings
+    left by removals and updates and vouches again for every live document,
+    so the reader must supply each file's current body.  A document the
+    reader cannot supply is dropped as removed.  Afterwards the term table
+    holds exactly the live documents' vocabulary, as a fresh index built
+    from the same bodies would. *)
+
+val drifted : t -> int
+(** The live documents the next {!rebuild} re-tokenizes: the drifted ones,
+    or all of them while a cold provider is installed. *)
 
 val index_bytes : t -> int
 (** Estimated byte size of the index structures (compressed postings +

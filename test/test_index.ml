@@ -390,6 +390,144 @@ let prop_block_size_invariant =
           && Fileset.equal (Search.search_word i1 r w) (Search.search_word i3 r w))
         [ "aa"; "ab"; "ba"; "cc"; "abc" ])
 
+(* -- compaction oracle ------------------------------------------------------------
+
+   A compaction re-tokenizes only the drifted documents, so what it leaves
+   must equal what a fresh index builds from the same live bodies: every
+   term's postings (as paths: ids differ), the scoped answers under every
+   directory, and a term table holding the live vocabulary only.  The
+   model file system holds each indexed path's current body; [Touch]
+   changes one behind the index's back and reports it dirty, [Unreadable]
+   makes the next compaction's reader fail for the file at a path.  Paths
+   sit at three label depths, so renames cross partitions. *)
+
+let compaction_paths =
+  [| "/f.txt"; "/a/g.txt"; "/a/b/h.txt"; "/a/b/c/i.txt"; "/d/e/j.txt"; "/d/k.txt" |]
+
+let compaction_words = [| "red"; "green"; "blue"; "cyan"; "tan"; "gray" |]
+
+let compaction_dirs = [ "/a"; "/a/b"; "/a/b/c"; "/d"; "/d/e" ]
+
+type compaction_op =
+  | Write of int * int list (* indexed now: added, or updated in place *)
+  | Touch of int * int list (* body changed, path reported dirty *)
+  | Remove of int
+  | Rename of int * int
+  | Unreadable of int
+  | Compact
+
+let pp_compaction_op =
+  let body ws = String.concat ";" (List.map string_of_int ws) in
+  function
+  | Write (p, ws) -> Printf.sprintf "Write(%d,[%s])" p (body ws)
+  | Touch (p, ws) -> Printf.sprintf "Touch(%d,[%s])" p (body ws)
+  | Remove p -> Printf.sprintf "Remove(%d)" p
+  | Rename (a, b) -> Printf.sprintf "Rename(%d,%d)" a b
+  | Unreadable p -> Printf.sprintf "Unreadable(%d)" p
+  | Compact -> "Compact"
+
+let gen_compaction_op =
+  let path = QCheck.Gen.int_bound (Array.length compaction_paths - 1) in
+  let body =
+    QCheck.Gen.(list_size (int_range 1 4) (int_bound (Array.length compaction_words - 1)))
+  in
+  QCheck.Gen.(
+    frequency
+      [
+        (5, map2 (fun p ws -> Write (p, ws)) path body);
+        (2, map2 (fun p ws -> Touch (p, ws)) path body);
+        (2, map (fun p -> Remove p) path);
+        (2, map2 (fun a b -> Rename (a, b)) path path);
+        (1, map (fun p -> Unreadable p) path);
+        (2, return Compact);
+      ])
+
+(* Every term with live postings, as (key, sorted paths). *)
+let terms_by_path idx =
+  let acc = ref [] in
+  Index.iter_cas_terms idx (fun key ids ->
+      let paths = List.filter_map (Index.doc_path idx) (Fileset.elements ids) in
+      acc := (key, List.sort compare paths) :: !acc);
+  List.sort compare !acc
+
+let paths_of idx s =
+  List.sort compare (List.filter_map (Index.doc_path idx) (Fileset.elements s))
+
+let prop_compaction_oracle =
+  QCheck.Test.make ~name:"a compaction leaves what a fresh index builds" ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 40) gen_compaction_op)
+       ~print:(fun ops -> String.concat "; " (List.map pp_compaction_op ops)))
+    (fun ops ->
+      let idx = Index.create ~stem:false () in
+      let bodies = Hashtbl.create 8 and unreadable = Hashtbl.create 4 in
+      let body ws = String.concat " " (List.map (fun w -> compaction_words.(w)) ws) in
+      let check_compacted () =
+        let fresh = Index.create ~stem:false () in
+        Index.iter_live idx (fun _ path ->
+            ignore (Index.add_document fresh ~path ~content:(Hashtbl.find bodies path)));
+        if terms_by_path idx <> terms_by_path fresh then
+          QCheck.Test.fail_report "term postings differ from a fresh index";
+        if Index.vocabulary idx <> Index.vocabulary fresh then
+          QCheck.Test.fail_report "the term table holds more than the live vocabulary";
+        if Index.word_count idx <> Index.vocabulary_size fresh then
+          QCheck.Test.fail_reportf "word_count %d, live vocabulary %d" (Index.word_count idx)
+            (Index.vocabulary_size fresh);
+        if not (Fileset.is_empty (Index.unvouched idx (Index.universe idx))) then
+          QCheck.Test.fail_report "a document is unvouched after the compaction";
+        Array.iter
+          (fun w ->
+            List.iter
+              (fun under ->
+                if
+                  paths_of idx (Index.candidate_docs ~under idx w)
+                  <> paths_of fresh (Index.candidate_docs ~under fresh w)
+                then QCheck.Test.fail_reportf "%s under %s differs" w under)
+              compaction_dirs)
+          compaction_words
+      in
+      List.iter
+        (function
+          | Write (p, ws) ->
+              let path = compaction_paths.(p) and content = body ws in
+              Hashtbl.replace bodies path content;
+              ignore (Index.update_document idx ~path ~content)
+          | Touch (p, ws) ->
+              let path = compaction_paths.(p) in
+              if Hashtbl.mem bodies path then begin
+                Hashtbl.replace bodies path (body ws);
+                Index.note_dirty idx path
+              end
+          | Remove p ->
+              let path = compaction_paths.(p) in
+              Hashtbl.remove bodies path;
+              Hashtbl.remove unreadable path;
+              Index.remove_path idx path
+          | Rename (a, b) ->
+              let src = compaction_paths.(a) and dst = compaction_paths.(b) in
+              if src <> dst && Hashtbl.mem bodies src then begin
+                Hashtbl.replace bodies dst (Hashtbl.find bodies src);
+                Hashtbl.remove bodies src;
+                (* The unreadable file, if any, is the one that moved. *)
+                if Hashtbl.mem unreadable src then Hashtbl.replace unreadable dst ()
+                else Hashtbl.remove unreadable dst;
+                Hashtbl.remove unreadable src;
+                Index.rename_path idx ~old_path:src ~new_path:dst
+              end
+          | Unreadable p -> Hashtbl.replace unreadable compaction_paths.(p) ()
+          | Compact ->
+              Index.rebuild idx (fun id ->
+                  match Index.doc_path idx id with
+                  | Some path when not (Hashtbl.mem unreadable path) ->
+                      Hashtbl.find_opt bodies path
+                  | Some _ | None -> None);
+              (* The compaction dropped every unreadable file. *)
+              Hashtbl.iter (fun path () -> Hashtbl.remove bodies path) unreadable;
+              Hashtbl.reset unreadable;
+              check_compacted ())
+        ops;
+      true)
+
 let () =
   Alcotest.run "index"
     [
@@ -434,5 +572,9 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_block_size_invariant; prop_doc_ids_under_matches_scan ] );
+          [
+            prop_block_size_invariant;
+            prop_doc_ids_under_matches_scan;
+            prop_compaction_oracle;
+          ] );
     ]

@@ -12,6 +12,8 @@ module Hac = Hac_core.Hac
 module Recover = Hac_core.Recover
 module Journal = Hac_core.Journal
 module Link = Hac_core.Link
+module Index = Hac_index.Index
+module Fileset = Hac_bitset.Fileset
 module Fs = Hac_vfs.Fs
 module Store = Hac_store.Store
 module Cache = Hac_store.Cache
@@ -288,6 +290,53 @@ let test_fast_mount_matches_full () =
   Alcotest.(check bool) "remount is fast again" true (mode2 = `Fast);
   Alcotest.(check string) "remount state is stable" expected (observe t2)
 
+(* The first compaction after a fast mount re-tokenizes every live
+   document — the cold provider vouches for nothing — and retires the
+   provider.  Afterwards the resident postings are exactly those of an
+   instance that never remounted, and a fresh query answers alike. *)
+let test_first_compaction_after_fast_mount () =
+  let script t =
+    (* One rewrite and three removals of five documents: over the stale
+       ratio that compacts. *)
+    Hac.write_file t files.(0) "now cyan here\n";
+    List.iter (fun f -> Hac.unlink t files.(f)) [ 1; 2; 3 ];
+    Hac.settle t
+  in
+  let fs = Fs.create () in
+  let t0 = build_corpus fs in
+  Hac.shutdown ~graceful:false t0;
+  let t, mode = Recover.mount ~stem:false ~budget:4096 fs in
+  Alcotest.(check bool) "precondition: fast mount" true (mode = `Fast);
+  let index = Hac.index t in
+  Alcotest.(check bool) "precondition: cold postings" true (Index.has_cold index);
+  let rebuilds () =
+    match Hac_obs.Metrics.find (Hac.metrics t) "sync.index.rebuilds" with
+    | Some (Hac_obs.Metrics.Counter_value n) -> n
+    | _ -> 0
+  in
+  let before = rebuilds () in
+  script t;
+  Alcotest.(check int) "one compaction" (before + 1) (rebuilds ());
+  Alcotest.(check bool) "cold provider retired" false (Index.has_cold index);
+  let bare = build_corpus (Fs.create ()) in
+  script bare;
+  let terms u =
+    let idx = Hac.index u and acc = ref [] in
+    Index.iter_cas_terms idx (fun key ids ->
+        let paths = List.filter_map (Index.doc_path idx) (Fileset.elements ids) in
+        acc := (key, List.sort compare paths) :: !acc);
+    List.sort compare !acc
+  in
+  Alcotest.(check bool) "resident postings equal the bare instance's" true
+    (terms bare = terms t);
+  let probe u =
+    Hac.smkdir u "/probe" "cyan OR red";
+    Hac.settle u;
+    Hac.links u "/probe" |> List.map (fun l -> Link.target_key l.Link.target) |> List.sort compare
+  in
+  Alcotest.(check (list string)) "a fresh query answers as on the bare instance" (probe bare)
+    (probe t)
+
 let test_mount_falls_back_on_damage () =
   (* Damaged document table: the fast precondition fails, the mount must
      land on the full-replay oracle and still reproduce the state. *)
@@ -322,7 +371,6 @@ let test_mount_falls_back_on_damage () =
 module Sync = Hac_core.Sync
 module Seal = Hac_store.Seal
 module Image = Hac_vfs.Image
-module Fileset = Hac_bitset.Fileset
 
 let counter t name =
   match Hac_obs.Metrics.find (Hac.metrics t) name with
@@ -703,6 +751,8 @@ let () =
         [
           Alcotest.test_case "fast path parity" `Quick test_fast_mount_matches_full;
           Alcotest.test_case "damage falls back" `Quick test_mount_falls_back_on_damage;
+          Alcotest.test_case "first compaction retires cold postings" `Quick
+            test_first_compaction_after_fast_mount;
         ] );
       ( "adopt",
         [

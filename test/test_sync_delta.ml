@@ -80,8 +80,9 @@ let arb_ops =
     ~print:(fun ops -> String.concat "; " (List.map pp_op ops))
 
 (* Ops carry only pre-drawn data (slots and ranks), so applying the same op
-   to two instances in the same state performs the same mutation on both. *)
-let apply t op =
+   to two instances in the same state performs the same mutation on both.
+   [files] maps the file slots. *)
+let apply ?(files = files) t op =
   let ignore_errors f = try f () with Hac_vfs.Errno.Error _ | Hac.Hac_error _ -> () in
   match op with
   | Write (f, w) ->
@@ -208,10 +209,29 @@ let persisted t =
              if Fs.is_file fs p then Printf.sprintf "%s:%s" n (Fs.read_file fs p) else n)
       |> String.concat "\n"
 
+(* The structure files ([sd-*]) of the metadata area, name and bytes. *)
+let structure_files t =
+  let fs = Hac.fs t in
+  match Fs.readdir fs "/.hac" with
+  | exception Hac_vfs.Errno.Error _ -> []
+  | names ->
+      List.filter (fun n -> String.starts_with ~prefix:"sd-" n) names
+      |> List.sort compare
+      |> List.map (fun n -> (n, Fs.read_file fs ("/.hac/" ^ n)))
+
+(* The settle twin's files: three share the basename a.txt, so links to
+   them are named a.txt, a.txt~2, ... and both engines must hand those
+   names to the same targets. *)
+let colliding_files = [| "/d0/a.txt"; "/d1/a.txt"; "/d1/c.txt"; "/d2/a.txt"; "/d2/e.txt" |]
+
 (* A settles through the session entry point ([Hac.settle]: delta plus the
    journal barrier), B through the full oracle.  After every batch they
    must agree on what is observable and on what is persisted, and A's end
-   state must be a sync_all fixpoint. *)
+   state must be a sync_all fixpoint.  Both engines skip the writes of
+   unchanged structure files alike, so agreeing cannot show a skipped write
+   that left stale bytes: after every batch each structure file must also
+   equal what persisting its directory from scratch writes — here, the
+   checkpoint that rewrites them all, taken on both twins. *)
 let seeded_settle_run seed () =
   let rand = Random.State.make [| seed |] in
   let ops = QCheck.Gen.generate1 ~rand QCheck.Gen.(list_size (int_range 30 60) gen_op) in
@@ -220,14 +240,23 @@ let seeded_settle_run seed () =
     (fun i batch ->
       List.iter
         (fun op ->
-          apply a op;
-          apply b op)
+          apply ~files:colliding_files a op;
+          apply ~files:colliding_files b op)
         batch;
       Hac.settle a;
       ignore (Hac.reindex_full b ());
       let what = Printf.sprintf "seed %d batch %d" seed i in
       Alcotest.(check string) (what ^ ": observable") (observe b) (observe a);
-      Alcotest.(check string) (what ^ ": persisted") (persisted b) (persisted a))
+      Alcotest.(check string) (what ^ ": persisted") (persisted b) (persisted a);
+      let settled = structure_files a in
+      Hac.checkpoint_metadata a;
+      Hac.checkpoint_metadata b;
+      List.iter2
+        (fun (name, bytes) (name', from_scratch) ->
+          Alcotest.(check string) (what ^ ": structure file") name' name;
+          Alcotest.(check string) (Printf.sprintf "%s: %s as from scratch" what name)
+            from_scratch bytes)
+        settled (structure_files a))
     (batches ops);
   Alcotest.(check bool) "metadata area written" true (persisted a <> "");
   let before = observe a in
@@ -328,6 +357,41 @@ let counter t name =
   match Hac_obs.Metrics.find (Hac.metrics t) name with
   | Some (Hac_obs.Metrics.Counter_value n) -> n
   | _ -> Alcotest.failf "no counter %s" name
+
+(* A settle persists what moved: a delta that changes only a directory's
+   result rewrites its result file alone, a prohibition all four.  The
+   link file lists permanent links only, whatever is materialised. *)
+let test_persist_writes_what_moved () =
+  let t = fresh () in
+  Hac.write_file t "/d0/a.txt" "red";
+  Hac.smkdir t "/s" "red";
+  Hac.settle t;
+  Alcotest.(check (list string)) "materialised" [ "a.txt" ] (link_names t "/s");
+  let written f =
+    let before = counter t "sync.persist.files" in
+    f ();
+    counter t "sync.persist.files" - before
+  in
+  Alcotest.(check int) "a result-only delta writes one file" 1
+    (written (fun () ->
+         Hac.write_file t "/d1/c.txt" "red too";
+         Hac.settle t));
+  Alcotest.(check (list string)) "both linked" [ "a.txt"; "c.txt" ] (link_names t "/s");
+  Alcotest.(check int) "a delta that moves no result writes none" 0
+    (written (fun () ->
+         Hac.write_file t "/d2/e.txt" "blue";
+         Hac.settle t));
+  Alcotest.(check int) "a prohibition writes four" 4
+    (written (fun () ->
+         Hac.remove_link t ~dir:"/s" ~name:"c.txt";
+         Hac.settle t));
+  let links_file =
+    List.find (fun (n, _) -> Filename.check_suffix n ".links") (structure_files t)
+  in
+  match Hac_store.Seal.unseal_file (snd links_file) with
+  | None -> Alcotest.fail "link file does not unseal"
+  | Some payload ->
+      Alcotest.(check string) "no transient link persisted" "" payload
 
 (* Regex and approximate directories under a plain directory, over a
    vocabulary large enough that verifying a two-document delta costs less
@@ -473,6 +537,31 @@ let test_delta_removes_linked_doc () =
   Alcotest.(check string) "the freed name is reused" gone (name_of "/d1/a.txt");
   Alcotest.(check (list string)) "all back" all (link_names a "/s")
 
+(* Both engines name colliding links alike: documents first indexed by
+   the settle after their directory was materialised get their links from
+   the delta settle on twin A and from the full re-evaluation on twin B,
+   and both create them by document id. *)
+let test_colliding_names_alike () =
+  let dirs = [ "/d0"; "/d1"; "/d2"; "/d3"; "/d4" ] in
+  let ((a, _) as twins) = (fresh (), fresh ()) in
+  step twins "setup" (fun t ->
+      List.iter (Hac.mkdir_p t) dirs;
+      Hac.smkdir t "/s" "red";
+      ignore (Hac.links t "/s"));
+  step twins "five a.txt" (fun t ->
+      List.iter (fun d -> Hac.write_file t (d ^ "/a.txt") "red text") dirs);
+  let by_id =
+    List.filter_map (fun d -> Hac_index.Index.doc_of_path (Hac.index a) (d ^ "/a.txt")) dirs
+    |> List.sort compare
+    |> List.map (fun id -> Option.get (Hac_index.Index.doc_path (Hac.index a) id))
+  in
+  let named =
+    Hac.links a "/s"
+    |> List.map (fun l -> (l.Link.name, Link.target_key l.Link.target))
+    |> List.sort compare |> List.map snd
+  in
+  Alcotest.(check (list string)) "a.txt, a.txt~2, ... in document order" by_id named
+
 (* Deleting one of two aliases of a target is not a rejection of the
    target: the other alias keeps it, and nothing is prohibited. *)
 let test_alias_unlink_is_no_prohibition () =
@@ -529,7 +618,11 @@ let () =
             test_delta_removes_linked_doc;
           Alcotest.test_case "unlinking one alias is no prohibition" `Quick
             test_alias_unlink_is_no_prohibition;
+          Alcotest.test_case "colliding names alike" `Quick test_colliding_names_alike;
         ] );
       ( "bounded settle",
-        [ Alcotest.test_case "delta bounds regex and approx" `Quick test_delta_bounds_sweeps ] );
+        [
+          Alcotest.test_case "delta bounds regex and approx" `Quick test_delta_bounds_sweeps;
+          Alcotest.test_case "persist writes what moved" `Quick test_persist_writes_what_moved;
+        ] );
     ]
