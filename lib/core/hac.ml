@@ -153,6 +153,21 @@ let rename_dirty (ctx : Ctx.t) ~src ~dst =
       | None -> ())
     moved
 
+(* A dirref persists as its target's path ([sd-N.query]).  A semantic
+   directory whose query refers to a directory at or under a moved one
+   keeps its query, but the query's rendering changes: mark its metadata
+   for the next settle to rewrite. *)
+let dirty_dirref_referrers (ctx : Ctx.t) ~dst =
+  let moved u =
+    match Uidmap.path_of_uid ctx.uids u with
+    | Some p -> Vpath.is_prefix ~prefix:dst p
+    | None -> false
+  in
+  Hashtbl.iter
+    (fun _ (sd : Semdir.t) ->
+      if List.exists moved (Ast.dir_uids sd.Semdir.query) then Semdir.mark_meta_dirty sd)
+    ctx.semdirs
+
 let forget_dir (ctx : Ctx.t) path =
   (* The whole subtree is gone (rmdir fires once per directory, but a
      directory removal may race bulk [rmtree] events; be idempotent). *)
@@ -229,6 +244,7 @@ let on_event (ctx : Ctx.t) ev =
         match Fs.lstat ctx.fs dst with
         | { Fs.st_kind = Event.Dir; _ } ->
             Uidmap.rename ctx.uids ~old_path:src ~new_path:dst;
+            dirty_dirref_referrers ctx ~dst;
             index_rename_subtree ctx ~src ~dst;
             rename_dirty ctx ~src ~dst;
             (match Uidmap.uid_of_path ctx.uids dst with
@@ -694,7 +710,7 @@ let set_auto_sync (ctx : Ctx.t) on = ctx.auto_sync <- on
 
 let auto_sync_enabled (ctx : Ctx.t) = ctx.auto_sync
 
-(* Stats-time accounting: measuring the CAS postings forces every partition
+(* Stats-time accounting: measuring the CAS postings forces every term's
    snapshot, so the container gauges are published here — never on the
    indexing path. *)
 let index_report (ctx : Ctx.t) =

@@ -231,7 +231,7 @@ val auto_sync_enabled : t -> bool
 val index_report : t -> Hac_index.Cas.stats
 (** Container histogram and memory accounting of the CAS postings, also
     published to the [index.containers.*] / [index.postings.*] gauges.
-    Forces partition snapshots — a stats-time cost, cheap next to a settle
+    Forces every term's snapshot — a stats-time cost, cheap next to a settle
     but not free. *)
 
 (** {1 Links} *)

@@ -46,7 +46,7 @@ type t = {
   planner_reordered : Hac_obs.Metrics.counter;
   planner_cost_saved : Hac_obs.Metrics.counter;
   planner_scoped_chains : Hac_obs.Metrics.counter;
-      (** AND chains planned with a subtree scope hint (partition-scoped,
+      (** AND chains planned with a subtree scope hint (scope-counted,
           calibrated costs rather than whole-index estimates). *)
   index_containers_arrays : Hac_obs.Metrics.gauge;
       (** Array containers across all CAS postings (set at stats time). *)

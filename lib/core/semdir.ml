@@ -68,6 +68,8 @@ let mark_synced sd stamp = sd.last_synced <- stamp
 
 let mark_persisted sd = sd.meta_dirty <- false
 
+let mark_meta_dirty sd = sd.meta_dirty <- true
+
 let find_link sd name = Hashtbl.find_opt sd.links name
 
 let names_of_key sd key = Hashtbl.find_all sd.by_target key

@@ -85,6 +85,10 @@ val mark_persisted : t -> unit
 (** Clear [meta_dirty] once the query, permanent links and prohibitions are
     written. *)
 
+val mark_meta_dirty : t -> unit
+(** Set [meta_dirty]: the persisted query's rendering changed (a dirref's
+    target moved) though the query did not. *)
+
 val find_link : t -> string -> Link.t option
 (** Present link by name. *)
 

@@ -123,11 +123,11 @@ let attr_docs ?probe ?within ?cache (ctx : Ctx.t) key value =
          verified by re-extracting from the candidate's content. *)
       Search.search_attr ?probe ?within ?cache ctx.index (Ctx.reader ctx) key value
 
-(* Measured candidate counts for the planner: per-container cardinalities
-   of exactly the partitions a lookup would touch (scoped by [?under] when
-   the evaluation has a subtree scope).  No candidate set is ever
-   materialised.  Verification never widens a candidate set, so these are
-   sound upper bounds for ordering conjunctions. *)
+(* Measured candidate counts for the planner: posting-array lengths, exact
+   counts under a [?under] scope no larger than the array (see
+   {!Index.term_cost}).  No candidate set is ever materialised.
+   Verification never widens a candidate set, so these are sound upper
+   bounds for ordering conjunctions. *)
 let term_cost ?under (ctx : Ctx.t) term =
   let universe_size () = Index.doc_count ctx.index in
   match term with
@@ -176,9 +176,9 @@ let evaluator_in pass (ctx : Ctx.t) =
 
 (* [?under] is the scope-pushdown hint: the (normalized, absolute) directory
    the final result will be intersected below.  It sharpens both the cost
-   model (partition-scoped cardinalities) and candidate generation (the CAS
-   index skips partitions that cannot intersect the scope) — sound only
-   because the caller intersects with a subtree scope at or below it. *)
+   model (scoped counts) and candidate generation (the index intersects
+   each term's postings with the scope's documents) — sound only because
+   the caller intersects with a subtree scope at or below it. *)
 let eval_query_in pass (ctx : Ctx.t) ?restrict_to ?under q =
   let i = ctx.instr in
   Hac_obs.Trace.with_span i.Instr.tracer ~name:"query.eval" (fun () ->
@@ -952,14 +952,19 @@ let reindex_with_delta (ctx : Ctx.t) ?under () =
     paths;
   (* Lazy updates leave stale postings behind (Glimpse-style); once a
      third of the document slots are dead weight, compact.  The compaction
-     reads every live document (an unreadable one is dropped) but
-     re-tokenizes only the drifted ones. *)
+     reads and re-tokenizes only the drifted documents; every other live
+     one gets the permission test verification applies, and an unreadable
+     document is dropped. *)
   if Index.stale_ratio ctx.index > 0.33 && Index.doc_count ctx.index > 0 then begin
     Hac_obs.Metrics.incr i.Instr.index_rebuilds;
     Hac_obs.Metrics.incr ~by:(Index.drifted ctx.index) i.Instr.compact_reposted;
     let live_before = Index.doc_count ctx.index in
+    let may_read = (Hac_remote.Remote_fs.fs_reader ctx.fs).Search.may_read in
     span "index.rebuild" (fun () ->
-        Index.rebuild ctx.index (fun id ->
+        Index.rebuild ctx.index
+          ~may_read:(fun id ->
+            match Index.doc_path ctx.index id with Some p -> may_read p | None -> false)
+          (fun id ->
             Option.bind (Index.doc_path ctx.index id) (fun p ->
                 match read_interposed p with
                 | content -> Some content

@@ -100,7 +100,6 @@ let dir_withdraw t path id =
     (ancestors path)
 
 let index_content t id path content =
-  Cas.note_doc t.cas id ~path;
   Tokenizer.iter_words content (fun w -> Cas.post_word t.cas id (key t w));
   match t.transducer with
   | None -> ()
@@ -124,6 +123,7 @@ let update_document t ~path ~content =
       t.docs.(id) <- { path; alive = true };
       Hashtbl.replace t.by_path path id;
       dir_enroll t path id;
+      Cas.note_doc t.cas id;
       index_content t id path content;
       id
 
@@ -139,7 +139,7 @@ let adopt_document t ~id ~path =
   t.docs.(id) <- { path; alive = true };
   Hashtbl.replace t.by_path path id;
   dir_enroll t path id;
-  Cas.note_doc t.cas id ~path;
+  Cas.note_doc t.cas id;
   if id >= t.next_id then t.next_id <- id + 1
 
 let next_doc_id t = t.next_id
@@ -187,9 +187,8 @@ let rename_path t ~old_path ~new_path =
       | None -> ());
       Hashtbl.replace t.by_path new_path id;
       dir_enroll t new_path id;
-      Cas.note_doc t.cas id ~path:new_path;
-      (* Scoped lookups union every relabeled document regardless of term,
-         and a transducer may read the path: the postings no longer vouch. *)
+      (* The postings do not move, but a transducer may read the path: they
+         no longer vouch. *)
       Fileset.Builder.add t.drift id;
       t.docs.(id).path <- new_path
 
@@ -207,16 +206,9 @@ let doc_path t id =
 
 let doc_of_path t path = Hashtbl.find_opt t.by_path path
 
-(* Cold candidates for one encoded term key: the provider's set masked by
-   the live universe (dead documents' segment postings must not leak). *)
-let cold_docs t key =
-  match t.cold with
-  | None -> Fileset.empty
-  | Some c ->
-      let s = c.lookup key in
-      if Fileset.cardinal s = 0 then s else Fileset.inter s (universe t)
-
-let cold_cost t key = match t.cold with None -> 0 | Some c -> c.cost key
+(* Cold costs for one term, its encoded key built only when a provider is
+   installed. *)
+let cold_cost t key = match t.cold with None -> 0 | Some c -> c.cost (key ())
 
 (* Glimpse's block granularity as a view over the doc-granular postings:
    every candidate brings in the live documents of its block ([id /
@@ -240,14 +232,21 @@ let widen t s =
             end)
           s)
 
+(* The resident candidates of one term, then the cold provider's masked by
+   the live universe (dead documents' segment postings must not leak). *)
 let with_cold t resident key =
-  if t.cold = None then resident else Fileset.union resident (cold_docs t key)
+  match t.cold with
+  | None -> resident
+  | Some c ->
+      let s = c.lookup (key ()) in
+      if Fileset.cardinal s = 0 then resident
+      else Fileset.union resident (Fileset.inter s (universe t))
 
 (* A posting is the verdict only when it names one document (no block
    view) and comes from the file's current body indexed under its current
    path: not drifted by a lazy update, a rename or a reported change since
-   the rebuild, which re-read every body.  Dead documents are never
-   candidates, so [drift] needs no clearing in between.  Cold segments were
+   the rebuild, which re-posted every drifted body.  Dead documents are
+   never candidates, so [drift] needs no clearing in between.  Cold segments were
    dumped from lazily updated postings that may keep stale words, and which
    documents drifted before the dump is not recorded, so a cold provider
    vouches for nothing. *)
@@ -263,19 +262,31 @@ let finish ?within t c =
   let c = widen t c in
   match within with None -> c | Some wset -> Fileset.inter c wset
 
-(* [?under] restricts candidate generation to the partitions whose label can
-   contain documents under the given directory — sound because every answer
-   is a verified superset, and the caller intersects the final result with
-   the scope set anyway. *)
+(* Snapshot of the by_dir builder: cached between mutations, so repeated
+   scope computations over a settled tree cost a hashtable lookup. *)
+let doc_ids_under t dir =
+  match Hashtbl.find_opt t.by_dir dir with
+  | Some b -> Fileset.Builder.snapshot b
+  | None -> Fileset.empty
+
+(* [?under] bounds a resident lookup by the live documents under the given
+   directory: exact, as [by_dir] holds them all.  Cold candidates are
+   unioned unscoped, trimmed like the rest by the caller's scope. *)
+let scope t under = Option.map (doc_ids_under t) under
+
 let word_docs ?within ?under t w =
-  with_cold t (Cas.word_candidates ?within ?under t.cas w) (Cas.word_key w)
+  with_cold t
+    (Cas.word_candidates ?within ?live:(scope t under) t.cas w)
+    (fun () -> Cas.word_key w)
 
 let candidate_docs ?within ?under t w = finish ?within t (word_docs ?within ?under t (key t w))
 
 let attr_docs ?within ?under t key value =
   let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
   finish ?within t
-    (with_cold t (Cas.attr_candidates ?within ?under t.cas key value) (Cas.attr_key key value))
+    (with_cold t
+       (Cas.attr_candidates ?within ?live:(scope t under) t.cas key value)
+       (fun () -> Cas.attr_key key value))
 
 (* Resident words, then the cold provider's: adopted documents' vocabulary
    lives only in segment directories, so approximate and regex queries must
@@ -322,37 +333,32 @@ let candidate_docs_approx ?within t ~word ~errors =
   let pattern = key t word in
   fst (sweep_words ?within t (Agrep.word_matches ~pattern ~errors))
 
-(* Snapshot of the by_dir builder: cached between mutations, so repeated
-   scope computations over a settled tree cost a hashtable lookup. *)
-let doc_ids_under t dir =
-  match Hashtbl.find_opt t.by_dir dir with
-  | Some b -> Fileset.Builder.snapshot b
-  | None -> Fileset.empty
-
-(* Measured partition cardinalities of the lookup (scoped by [?under]) plus
-   the cold provider's. *)
+(* The term's resident count (exact under a scope no larger than its
+   posting array) plus the cold provider's. *)
 let term_cost ?under t w =
   let w = key t w in
-  Cas.word_cost ?under t.cas w + cold_cost t (Cas.word_key w)
+  Cas.word_cost ?live:(scope t under) t.cas w + cold_cost t (fun () -> Cas.word_key w)
 
 let attr_cost ?under t key value =
   let key = String.lowercase_ascii key and value = String.lowercase_ascii value in
-  Cas.attr_cost ?under t.cas key value + cold_cost t (Cas.attr_key key value)
+  Cas.attr_cost ?live:(scope t under) t.cas key value
+  + cold_cost t (fun () -> Cas.attr_key key value)
 
 let drifted t =
   if t.cold <> None then doc_count t
   else Fileset.cardinal (Fileset.inter (Fileset.Builder.snapshot t.drift) (universe t))
 
 (* Compaction by drift.  A live document outside the drift set has
-   postings from its current body under its current label, so only the
-   dead documents' postings and the drifted ones' need to go, and only the
-   drifted ones are re-tokenized.  A cold provider vouches for nothing (see
-   [unvouched]), so while one is installed every live document is
-   re-tokenized; afterwards the resident postings cover everything the cold
-   segments did for live documents, and dropping the provider here is what
-   ultimately retires segment files.  [mask] marks, per document slot, the
-   ids whose postings are dropped: dead, unreadable, or re-posted. *)
-let rebuild t reader =
+   postings from its current body, so only the dead documents' postings
+   and the drifted ones' need to go, and only the drifted ones are read and
+   re-tokenized; the others are only tested for readability.  A cold
+   provider vouches for nothing (see [unvouched]), so while one is
+   installed every live document is re-tokenized; afterwards the resident
+   postings cover everything the cold segments did for live documents, and
+   dropping the provider here is what ultimately retires segment files.
+   [mask] marks, per document slot, the ids whose postings are dropped:
+   dead, unreadable, or re-posted. *)
+let rebuild t ~may_read read =
   let n = t.next_id in
   let mask = Bytes.make n '\001' in
   let all = t.cold <> None in
@@ -361,25 +367,36 @@ let rebuild t reader =
   done;
   if not all then Fileset.iter (fun id -> Bytes.set mask id '\001') (Fileset.Builder.snapshot t.drift);
   t.cold <- None;
-  (* Every live document is read, so one the reader cannot supply is
-     dropped as removed whether or not it drifted. *)
+  (* A document that cannot be read, or may not be, is dropped as removed
+     whether or not it drifted. *)
   let repost = ref [] in
   for id = 0 to n - 1 do
     let d = t.docs.(id) in
-    if d.alive then
-      match reader id with
-      | Some content -> if Bytes.get mask id <> '\000' then repost := (id, content) :: !repost
-      | None ->
-          Hashtbl.remove t.by_path d.path;
-          d.alive <- false;
-          dir_withdraw t d.path id;
-          Cas.note_remove t.cas id;
-          Bytes.set mask id '\001'
+    if d.alive then begin
+      let readable =
+        if Bytes.get mask id = '\000' then may_read id
+        else
+          match read id with
+          | Some content ->
+              repost := (id, content) :: !repost;
+              true
+          | None -> false
+      in
+      if not readable then begin
+        Hashtbl.remove t.by_path d.path;
+        d.alive <- false;
+        dir_withdraw t d.path id;
+        Cas.note_remove t.cas id;
+        Bytes.set mask id '\001'
+      end
+    end
   done;
   Cas.drop_docs t.cas mask;
   List.iter (fun (id, content) -> index_content t id t.docs.(id).path content) (List.rev !repost);
   Fileset.Builder.clear t.drift;
   t.lazy_ops <- 0
+
+let cas t = t.cas
 
 let cas_stats t = Cas.stats ~universe:t.next_id t.cas
 

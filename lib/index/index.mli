@@ -2,9 +2,10 @@
 
     Documents (files) are assigned dense integer identifiers.  Each (stemmed)
     word and each transducer attribute/value pair has one doc-granular
-    posting set, held by the content-and-structure postings of {!Cas}
-    (partitioned by path label, so scoped lookups touch only the relevant
-    slice).  A lookup answers a {e candidate} superset; {!unvouched} names
+    posting array in {!Cas}, sorted and duplicate-free.  The index also
+    keeps every directory's live documents ({!doc_ids_under}), and a lookup
+    scoped under a directory is the term's postings intersected with that
+    set.  A lookup answers a {e candidate} superset; {!unvouched} names
     the candidates whose postings may be wrong, and callers needing exact
     answers verify those against the actual contents ({!Search}).
 
@@ -15,11 +16,11 @@
 
     Updates are lazy, like Glimpse's: removing or rewriting a document does
     not erase its old words' postings (removals are masked by the live set),
-    and a rename leaves them under the old path label.  Until {!rebuild}
-    such a document is unvouched, so stale postings only cost verification
-    work.  At block size 1 with no cold provider, every other live
-    candidate's posting already is the verdict, as long as each change to
-    an indexed file reaches the index ({!note_dirty}).
+    and a rename leaves them as they are, though a transducer may read the
+    path.  Until {!rebuild} such a document is unvouched, so stale postings
+    only cost verification work.  At block size 1 with no cold provider,
+    every other live candidate's posting already is the verdict, as long
+    as each change to an indexed file reaches the index ({!note_dirty}).
 
     Single-domain: lookups and costs fill cached snapshots without
     synchronisation. *)
@@ -136,10 +137,11 @@ val candidate_docs :
 (** Live documents that may contain the word (after stemming) — a superset
     of the true answer, widened to whole blocks by the block view, to be
     verified by the caller.  [?under] (a normalized absolute directory)
-    restricts generation to the partitions whose path label can hold
-    documents under that scope, which is sound whenever the caller
-    intersects the final result with a subtree scope below [under].
-    [?within] intersects the answer with the given set. *)
+    intersects the resident answer with the live documents under that
+    directory ({!doc_ids_under}), which is sound whenever the caller
+    intersects the final result with a subtree scope below [under]; cold
+    candidates are unioned unscoped.  [?within] intersects the answer with
+    the given set. *)
 
 val word_count : t -> int
 (** An upper bound on the words {!sweep_words} walks, read from counts
@@ -185,18 +187,24 @@ val attr_docs :
 
 val term_cost : ?under:string -> t -> string -> int
 (** Estimate of [candidate_docs t w]'s cardinality before the block view
-    widens it, measured from the compressed partitions the lookup would
-    actually touch (scoped by [?under]) plus the cold provider's count.
-    Never materializes a candidate set — cheap enough to consult once per query
-    term on every resync, which is what {!Planner.optimize} needs to rank
-    conjuncts by real selectivity. *)
+    widens it, plus the cold provider's count.  The resident part is the
+    term's posting-array length; under a scope holding no more documents
+    than that, it is the exact count of the scope's members in the array,
+    each probed by binary search.  Never materializes a candidate set or
+    walks a posting array — cheap enough to consult once per query term on
+    every resync, which is what {!Planner.optimize} needs to rank conjuncts
+    by real selectivity. *)
 
 val attr_cost : ?under:string -> t -> string -> string -> int
 (** {!term_cost} for an attribute/value pair. *)
 
+val cas : t -> Cas.t
+(** The index's postings, for inspection: mutate them only through this
+    module. *)
+
 val cas_stats : t -> Cas.stats
 (** Memory accounting and container histogram of the CAS postings (forces
-    partition snapshots — a stats-time cost). *)
+    every term's snapshot — a stats-time cost). *)
 
 val attributes : t -> (string * string) list
 (** All resident attribute/value pairs, sorted. *)
@@ -208,16 +216,18 @@ val vocabulary : t -> string list
 val vocabulary_size : t -> int
 (** Number of distinct indexed words. *)
 
-val rebuild : t -> (doc_id -> string option) -> unit
-(** Compact: read every live document from the reader, drop the postings
-    of removed documents and re-tokenize the drifted ones — updated in
-    place, renamed or reported dirty; every live document while a cold
-    provider is installed, which this retires.  Reclaims the stale postings
-    left by removals and updates and vouches again for every live document,
-    so the reader must supply each file's current body.  A document the
-    reader cannot supply is dropped as removed.  Afterwards the term table
-    holds exactly the live documents' vocabulary, as a fresh index built
-    from the same bodies would. *)
+val rebuild : t -> may_read:(doc_id -> bool) -> (doc_id -> string option) -> unit
+(** [rebuild t ~may_read read] compacts: it drops the postings of removed
+    documents and re-tokenizes the drifted ones — updated in place, renamed
+    or reported dirty; every live document while a cold provider is
+    installed, which this retires.  Only the documents it re-tokenizes are
+    read; every other live document is only tested with [may_read].
+    Reclaims the stale postings left by removals and updates and vouches
+    again for every live document, so [read] must supply each file's
+    current body.  A document [read] cannot supply, or [may_read] rejects,
+    is dropped as removed.  Afterwards the term table holds exactly the
+    live documents' vocabulary, as a fresh index built from the same bodies
+    would. *)
 
 val drifted : t -> int
 (** The live documents the next {!rebuild} re-tokenizes: the drifted ones,

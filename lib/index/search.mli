@@ -227,8 +227,9 @@ val eval_with :
     [eval ~restrict_to:S q = S ∩ eval q]).  [?under] is the CAS scope hint,
     forwarded to every term lookup (and mixed into the pass-memo keys): the
     caller asserts the final result will be intersected with a scope set
-    lying under that directory, which makes per-term partition pruning sound
-    for any boolean query shape. *)
+    lying under that directory, which makes intersecting every term's
+    postings with that directory's documents sound for any boolean query
+    shape. *)
 
 val eval :
   ?probe:probe ->

@@ -309,9 +309,8 @@ let space_report s buf =
     (Hac.hac_overhead_bytes sp) sp.Hac.semdir_bytes sp.Hac.uidmap_bytes sp.Hac.depgraph_bytes;
   out buf "fs metadata bytes    : %d\n" sp.Hac.fs_metadata_bytes;
   let cs = Hac.index_report s.t in
-  out buf "postings             : %d bytes, %d terms, %d partitions, %d labels\n"
-    cs.Hac_index.Cas.bytes cs.Hac_index.Cas.terms cs.Hac_index.Cas.partitions
-    cs.Hac_index.Cas.labels;
+  out buf "postings             : %d bytes, %d terms\n" cs.Hac_index.Cas.bytes
+    cs.Hac_index.Cas.terms;
   out buf "containers           : %d arrays, %d bitmaps, %d runs\n" cs.Hac_index.Cas.arrays
     cs.Hac_index.Cas.bitmaps cs.Hac_index.Cas.run_containers;
   (* The ratio prices the alternative the compression replaces: one flat

@@ -7,7 +7,8 @@
    postings the index vouches for, so the twin also checks that trust, for
    every term kind that reads postings.  Differential twin runs check that
    claim under pinned seeds and a QCheck sweep; Index-level units pin the
-   [?under] superset contract through renames, removals and label drift. *)
+   [?under] superset contract through renames and removals, and a model
+   check pins the posting arrays themselves. *)
 
 module Hac = Hac_core.Hac
 module Link = Hac_core.Link
@@ -17,9 +18,9 @@ module Index = Hac_index.Index
 module Search = Hac_index.Search
 module Cas = Hac_index.Cas
 
-(* Files at two depths so posting partitions carry distinct labels, and
-   semantic dirs both at the root and below a plain directory so scoped
-   evaluations really run with an [?under] hint. *)
+(* Files at two depths, and semantic dirs both at the root and below a
+   plain directory so scoped evaluations really run with an [?under]
+   hint. *)
 let files =
   [| "/d0/a.txt"; "/d0/b.txt"; "/nest/d1/c.txt"; "/nest/d1/d.txt"; "/nest/d2/e.txt" |]
 
@@ -250,9 +251,10 @@ let prop_unsettled_writes =
 
    [?under] is a pure pruning hint: after intersecting with the subtree's
    documents, a scoped verified search must equal the unscoped one.  The
-   units walk that contract through the cases where the partition map can
-   go stale — renames across labels, removals, documents deeper than the
-   label depth. *)
+   units walk that contract through the cases where the postings and the
+   directory sets can disagree — renames, which move a document between
+   scopes without touching its postings, removals, documents several
+   levels deep. *)
 
 let mk_index docs =
   let idx = Index.create ~stem:false () in
@@ -297,17 +299,17 @@ let test_under_equals_unscoped () =
         [ "red"; "green"; "blue"; "cyan"; "absent" ])
     [ "/a"; "/a/x"; "/b"; "/b/z"; "/b/z/deep"; "/" ]
 
-let test_rename_crosses_labels () =
+let test_rename_crosses_scopes () =
   let idx, contents = mk_index base_docs in
-  (* Move a document to a different partition label: the old postings stay
-     (lazily), so the relabeled drift set must keep scoped answers sound. *)
+  (* Move a document to another subtree: its postings stay as they were,
+     and the new scope's document set must find it. *)
   let content = Hashtbl.find contents "/a/x/one.txt" in
   Index.rename_path idx ~old_path:"/a/x/one.txt" ~new_path:"/b/z/one.txt";
   Hashtbl.remove contents "/a/x/one.txt";
   Hashtbl.replace contents "/b/z/one.txt" content;
   let id = Option.get (Index.doc_of_path idx "/b/z/one.txt") in
   let under_b = Search.search_word ~under:"/b" idx (reader contents) "green" in
-  Alcotest.(check bool) "found under the new label" true (Fileset.mem under_b id);
+  Alcotest.(check bool) "found under the new scope" true (Fileset.mem under_b id);
   List.iter
     (fun scope ->
       List.iter
@@ -319,11 +321,11 @@ let test_rename_crosses_labels () =
         [ "red"; "green"; "blue" ])
     [ "/a"; "/b"; "/" ]
 
-(* A lookup bounded by a small [within] probes each member in its own
-   label's partition.  A document renamed across labels without a re-post
-   keeps its postings under the old label: only the relabeled union finds
-   it.  An AND chain whose first conjunct holds just that document hands
-   it to the second as [within]. *)
+(* A lookup bounded by a small [within] probes each member in the term's
+   posting array.  A document renamed without a re-post keeps its
+   postings, so the probe still finds it.  An AND chain whose first
+   conjunct holds just that document hands it to the second as
+   [within]. *)
 let test_rename_then_bounded_lookup () =
   let idx, contents = mk_index (("/a/x/rare.txt", "red rare") :: base_docs) in
   let content = Hashtbl.find contents "/a/x/rare.txt" in
@@ -331,7 +333,7 @@ let test_rename_then_bounded_lookup () =
   Hashtbl.remove contents "/a/x/rare.txt";
   Hashtbl.replace contents "/b/z/rare.txt" content;
   let id = Option.get (Index.doc_of_path idx "/b/z/rare.txt") in
-  (* A posting after the last union of "red" invalidates it, so the
+  (* A posting after the last snapshot of "red" invalidates it, so the
      lookups below take the bounded path. *)
   ignore (Index.candidate_docs idx "red");
   Hashtbl.replace contents "/b/z/seven.txt" "red";
@@ -368,8 +370,8 @@ let test_removed_docs_masked () =
 
 let test_scoped_cost_no_larger () =
   let idx, _ = mk_index base_docs in
-  (* Partition-scoped sums can only drop terms' partitions, never add (no
-     label drift here), so the scoped estimate is bounded by the unscoped. *)
+  (* A scoped cost counts the scope's documents in the posting array, or
+     is the array's length, so it is bounded by the unscoped estimate. *)
   List.iter
     (fun w ->
       let all = Index.term_cost idx w in
@@ -383,6 +385,161 @@ let test_scoped_cost_no_larger () =
     [ "red"; "green"; "blue" ];
   (* And a scope that excludes every "green" document prices as empty. *)
   Alcotest.(check int) "green under /b costs 0" 0 (Index.term_cost ~under:"/b" idx "green")
+
+(* -- Posting-array model ------------------------------------------------------
+
+   Random add, in-place update, remove, rename and compaction sequences over
+   documents at three depths, each step checked against a naive model: the
+   documents that posted each word since the last compaction.  Every
+   term's array must be that set, strictly increasing; and every lookup —
+   unbounded, bounded by the step's random [within], scoped [~under] every
+   directory, and both — must be it ∩ the live documents ∩ the bound.  The
+   bounded lookups run first: after a posting the term's snapshot is
+   stale, and a [within] smaller than the array is answered by probing the
+   array, which leaves the snapshot stale; the unbounded lookup then fills
+   it, and the last bounded lookup reads it.  An in-place update of an
+   older document inserts its id mid-array. *)
+
+let model_paths = [| "/f.txt"; "/g.txt"; "/a/h.txt"; "/a/i.txt"; "/a/b/j.txt"; "/c/d/k.txt" |]
+
+let model_dirs = [ "/"; "/a"; "/a/b"; "/c"; "/c/d"; "/z" ]
+
+let model_words = [| "red"; "green"; "blue"; "cyan"; "tan" |]
+
+type model_op =
+  | Post of int * int list (* added, or updated in place *)
+  | Unpost of int
+  | Rename of int * int
+  | Compact
+
+let pp_model_step (op, within) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let op =
+    match op with
+    | Post (p, ws) -> Printf.sprintf "Post(%d,[%s])" p (ints ws)
+    | Unpost p -> Printf.sprintf "Unpost(%d)" p
+    | Rename (a, b) -> Printf.sprintf "Rename(%d,%d)" a b
+    | Compact -> "Compact"
+  in
+  Printf.sprintf "%s within [%s]" op (ints within)
+
+(* An operation, then the [within] bound its checks use, drawn from the id
+   space the operations reach. *)
+let gen_model_step =
+  let path = QCheck.Gen.int_bound (Array.length model_paths - 1) in
+  let body = QCheck.Gen.(list_size (int_range 1 4) (int_bound (Array.length model_words - 1))) in
+  QCheck.Gen.(
+    pair
+      (frequency
+         [
+           (6, map2 (fun p ws -> Post (p, ws)) path body);
+           (2, map (fun p -> Unpost p) path);
+           (2, map2 (fun a b -> Rename (a, b)) path path);
+           (1, return Compact);
+         ])
+      (list_size (int_range 0 4) (int_bound 24)))
+
+let model_run ~fail steps =
+  let idx = Index.create ~stem:false () in
+  let bodies = Hashtbl.create 8 (* live path -> words of its body *) in
+  let posted = Hashtbl.create 8 (* word -> ids posted since the last compaction *) in
+  let post id ws =
+    List.iter
+      (fun w -> Hashtbl.replace posted w (id :: Option.value ~default:[] (Hashtbl.find_opt posted w)))
+      ws
+  in
+  let check step within =
+    let live = Index.universe idx in
+    let under dir =
+      Fileset.filter
+        (fun id ->
+          match Index.doc_path idx id with
+          | Some p -> Hac_vfs.Vpath.is_prefix ~prefix:dir p
+          | None -> false)
+        live
+    in
+    let w_set = Fileset.of_list within in
+    Array.iter
+      (fun w ->
+        let model = Fileset.of_list (Option.value ~default:[] (Hashtbl.find_opt posted w)) in
+        let arr = Cas.word_postings (Index.cas idx) w in
+        Array.iteri
+          (fun i id ->
+            if i > 0 && arr.(i - 1) >= id then
+              fail (Printf.sprintf "step %d: %s's array is not strictly increasing" step w))
+          arr;
+        if not (Fileset.equal (Fileset.of_list (Array.to_list arr)) model) then
+          fail (Printf.sprintf "step %d: %s's array differs from the model" step w);
+        let expect bound = Fileset.inter (Fileset.inter model live) bound in
+        let agree what got want =
+          if not (Fileset.equal got want) then
+            fail
+              (Printf.sprintf "step %d: %s %s: %s, model %s" step w what
+                 (Format.asprintf "%a" Fileset.pp got)
+                 (Format.asprintf "%a" Fileset.pp want))
+        in
+        agree "within" (Index.candidate_docs ~within:w_set idx w) (expect w_set);
+        List.iter
+          (fun dir ->
+            agree ("within, under " ^ dir)
+              (Index.candidate_docs ~within:w_set ~under:dir idx w)
+              (expect (Fileset.inter w_set (under dir))))
+          model_dirs;
+        agree "unbounded" (Index.candidate_docs idx w) (expect live);
+        List.iter
+          (fun dir ->
+            let want = expect (under dir) in
+            agree ("under " ^ dir) (Index.candidate_docs ~under:dir idx w) want;
+            (* The planner orders conjunctions by these costs: they must
+               never undercount. *)
+            if Index.term_cost ~under:dir idx w < Fileset.cardinal want then
+              fail (Printf.sprintf "step %d: %s under %s: cost below the answer" step w dir))
+          model_dirs;
+        agree "within, snapshot" (Index.candidate_docs ~within:w_set idx w) (expect w_set))
+      model_words
+  in
+  List.iteri
+    (fun step (op, within) ->
+      (match op with
+      | Post (p, ws) ->
+          let path = model_paths.(p) and ws = List.map (fun w -> model_words.(w)) ws in
+          Hashtbl.replace bodies path ws;
+          post (Index.update_document idx ~path ~content:(String.concat " " ws)) ws
+      | Unpost p ->
+          Hashtbl.remove bodies model_paths.(p);
+          Index.remove_path idx model_paths.(p)
+      | Rename (a, b) ->
+          let src = model_paths.(a) and dst = model_paths.(b) in
+          if src <> dst && Hashtbl.mem bodies src then begin
+            Hashtbl.replace bodies dst (Hashtbl.find bodies src);
+            Hashtbl.remove bodies src;
+            Index.rename_path idx ~old_path:src ~new_path:dst
+          end
+      | Compact ->
+          let body id = Option.bind (Index.doc_path idx id) (Hashtbl.find_opt bodies) in
+          Index.rebuild idx ~may_read:(fun _ -> true) (fun id ->
+              Option.map (String.concat " ") (body id));
+          Hashtbl.reset posted;
+          Index.iter_live idx (fun id path -> post id (Hashtbl.find bodies path)));
+      check step within)
+    steps
+
+let prop_posting_array_model =
+  QCheck.Test.make ~name:"posting arrays equal the posted-since-compaction model" ~count:300
+    (QCheck.make
+       QCheck.Gen.(list_size (int_range 1 40) gen_model_step)
+       ~print:(fun steps -> String.concat "; " (List.map pp_model_step steps)))
+    (fun steps ->
+      model_run steps ~fail:QCheck.Test.fail_report;
+      true)
+
+let seeded_model () =
+  List.iter
+    (fun seed ->
+      let rand = Random.State.make [| seed |] in
+      model_run ~fail:Alcotest.fail
+        (QCheck.Gen.generate1 ~rand QCheck.Gen.(list_size (int_range 30 60) gen_model_step)))
+    [ 1; 42; 1999 ]
 
 (* -- Exact postings ---------------------------------------------------------------
 
@@ -409,7 +566,8 @@ let test_in_place_update_verified () =
     [ Option.get (Index.doc_of_path idx "/a/two.txt") ]
     (Fileset.elements (Search.search_approx idx (reader contents) ~word:"rad" ~errors:1));
   (* A rebuild drops the stale posting and vouches again. *)
-  Index.rebuild idx (fun id -> Option.bind (Index.doc_path idx id) (Hashtbl.find_opt contents));
+  Index.rebuild idx ~may_read:(fun _ -> true) (fun id ->
+      Option.bind (Index.doc_path idx id) (Hashtbl.find_opt contents));
   Alcotest.(check int) "nothing unvouched after rebuild" 0
     (Fileset.cardinal (Index.unvouched idx (Index.universe idx)))
 
@@ -563,7 +721,7 @@ let test_term_keys_round_trip () =
   List.iter (fun junk -> check_key ("junk " ^ String.escaped junk) None junk)
     [ ""; "w"; "a"; "x:red"; "w-red"; "a:no-separator" ];
   let cas = Cas.create () in
-  Cas.note_doc cas 0 ~path:"/d/a.txt";
+  Cas.note_doc cas 0;
   Cas.post_word cas 0 "red";
   Cas.post_attr cas 0 "author" "knuth";
   Cas.note_remove cas 0;
@@ -587,7 +745,7 @@ let () =
       ( "scoped",
         [
           Alcotest.test_case "under equals unscoped" `Quick test_under_equals_unscoped;
-          Alcotest.test_case "rename crosses labels" `Quick test_rename_crosses_labels;
+          Alcotest.test_case "rename crosses scopes" `Quick test_rename_crosses_scopes;
           Alcotest.test_case "rename, then a bounded lookup" `Quick
             test_rename_then_bounded_lookup;
           Alcotest.test_case "removals masked" `Quick test_removed_docs_masked;
@@ -609,6 +767,11 @@ let () =
             test_write_through_link_descriptor;
           Alcotest.test_case "changes through a directory symlink" `Quick
             test_changes_through_directory_symlink;
+        ] );
+      ( "posting arrays",
+        [
+          Alcotest.test_case "model, pinned seeds 1/42/1999" `Quick seeded_model;
+          QCheck_alcotest.to_alcotest prop_posting_array_model;
         ] );
       ("keys", [ Alcotest.test_case "term keys round-trip" `Quick test_term_keys_round_trip ]);
     ]

@@ -126,7 +126,7 @@ let test_rebuild_reclaims () =
   let idx = make_index ~block_size:1 () in
   Index.remove_path idx "/a.txt";
   (* Stale bits: "fox" still has a.txt's block. *)
-  Index.rebuild idx (fun id ->
+  Index.rebuild idx ~may_read:(fun _ -> true) (fun id ->
       Option.bind (Index.doc_path idx id) (reader_of docs).Search.read);
   check_list "fox gone after rebuild" [] (Fileset.elements (Index.candidate_docs idx "fox"));
   check_int "live docs kept" 3 (Index.doc_count idx)
@@ -162,7 +162,8 @@ let test_rebuild_drops_unreadable () =
     (fun p -> ignore (Index.add_document idx ~path:p ~content:"words here"))
     [ "/a/one.txt"; "/a/two.txt"; "/b/three.txt" ];
   let dropped = Option.get (Index.doc_of_path idx "/a/two.txt") in
-  Index.rebuild idx (fun id -> if id = dropped then None else Some "words here");
+  Index.rebuild idx ~may_read:(fun id -> id <> dropped) (fun id ->
+      if id = dropped then None else Some "words here");
   check_list "universe" [ 0; 2 ] (Fileset.elements (Index.universe idx));
   check_list "root equals universe" (Fileset.elements (Index.universe idx))
     (Fileset.elements (Index.doc_ids_under idx "/"));
@@ -198,8 +199,9 @@ let prop_doc_ids_under_matches_scan =
           | `Remove p -> Index.remove_path idx p
           | `Rename (a, b) -> Index.rename_path idx ~old_path:a ~new_path:b
           | `Rebuild_without p ->
-              Index.rebuild idx (fun id ->
-                  if Index.doc_path idx id = Some p then None else Some "w"))
+              Index.rebuild idx
+                ~may_read:(fun id -> Index.doc_path idx id <> Some p)
+                (fun id -> if Index.doc_path idx id = Some p then None else Some "w"))
         ops;
       List.for_all
         (fun dir ->
@@ -399,7 +401,7 @@ let prop_block_size_invariant =
    model file system holds each indexed path's current body; [Touch]
    changes one behind the index's back and reports it dirty, [Unreadable]
    makes the next compaction's reader fail for the file at a path.  Paths
-   sit at three label depths, so renames cross partitions. *)
+   sit at four depths, so renames move documents between scopes. *)
 
 let compaction_paths =
   [| "/f.txt"; "/a/g.txt"; "/a/b/h.txt"; "/a/b/c/i.txt"; "/d/e/j.txt"; "/d/k.txt" |]
@@ -516,11 +518,12 @@ let prop_compaction_oracle =
               end
           | Unreadable p -> Hashtbl.replace unreadable compaction_paths.(p) ()
           | Compact ->
-              Index.rebuild idx (fun id ->
-                  match Index.doc_path idx id with
-                  | Some path when not (Hashtbl.mem unreadable path) ->
-                      Hashtbl.find_opt bodies path
-                  | Some _ | None -> None);
+              let body_of id =
+                match Index.doc_path idx id with
+                | Some path when not (Hashtbl.mem unreadable path) -> Hashtbl.find_opt bodies path
+                | Some _ | None -> None
+              in
+              Index.rebuild idx ~may_read:(fun id -> Option.is_some (body_of id)) body_of;
               (* The compaction dropped every unreadable file. *)
               Hashtbl.iter (fun path () -> Hashtbl.remove bodies path) unreadable;
               Hashtbl.reset unreadable;

@@ -77,6 +77,32 @@ let test_full_replay_reads_chain_once () =
   check_int "one chain read" 1 (Hac_core.Journal.chain_reads () - before);
   check_list "links back" [ "/docs/a.txt" ] (transient_targets t2 "/alpha")
 
+(* A dirref persists as its target's path, so renaming an ancestor of the
+   target must rewrite the referring directory's query file.  Otherwise a
+   remount by full replay (the journal tail holds the rename's M record)
+   cannot resolve the old path, and the referring directory is lost. *)
+let test_dirref_survives_rename () =
+  let t = Hac.create () in
+  Hac.mkdir_p t "/a";
+  Hac.write_file t "/a/x.txt" "apple banana\n";
+  Hac.write_file t "/a/y.txt" "apple only\n";
+  Hac.smkdir t "/a/q" "banana";
+  Hac.smkdir t "/s" "apple AND {/a/q}";
+  Hac.enable_store t;
+  ignore (Hac.checkpoint t : int);
+  Hac.rename t ~src:"/a" ~dst:"/b";
+  Hac.settle t;
+  Alcotest.(check (option string)) "query follows the rename" (Some "apple AND {/b/q}")
+    (Hac.sreadin t "/s");
+  Hac.shutdown t;
+  let t2, mode = Recover.mount (Hac.fs t) in
+  check_bool "full replay" true (mode = `Full);
+  check_bool "target still semantic" true (Hac.is_semantic t2 "/b/q");
+  check_bool "referrer still semantic" true (Hac.is_semantic t2 "/s");
+  Alcotest.(check (option string)) "query recovered" (Some "apple AND {/b/q}")
+    (Hac.sreadin t2 "/s");
+  check_list "links back" [ "/b/x.txt" ] (transient_targets t2 "/s")
+
 let test_journal_accounting () =
   let fs = build_and_crash () in
   (* Damage the log: one garbage line up front, one torn record at the end. *)
@@ -299,6 +325,7 @@ let () =
           Alcotest.test_case "checkpoint enables round two" `Quick test_checkpoint_rewrites;
           Alcotest.test_case "dir with spaces" `Quick test_recover_dir_with_spaces;
           Alcotest.test_case "journal accounting" `Quick test_journal_accounting;
+          Alcotest.test_case "dirref survives a rename" `Quick test_dirref_survives_rename;
           Alcotest.test_case "full replay reads the chain once" `Quick
             test_full_replay_reads_chain_once;
         ] );

@@ -77,7 +77,8 @@ let test_rebuild_keeps_attrs () =
   let docs = [ ("/m1.eml", mail) ] in
   let idx = Index.create ~block_size:1 ~transducer:Transducer.email () in
   List.iter (fun (p, c) -> ignore (Index.add_document idx ~path:p ~content:c)) docs;
-  Index.rebuild idx (fun id -> Option.bind (Index.doc_path idx id) (fun p -> List.assoc_opt p docs));
+  Index.rebuild idx ~may_read:(fun _ -> true) (fun id ->
+      Option.bind (Index.doc_path idx id) (fun p -> List.assoc_opt p docs));
   check_bool "attrs survive rebuild" false
     (Fileset.is_empty (Index.attr_docs idx "from" "ana lopez"))
 
